@@ -169,11 +169,12 @@ def simulate(g: Graph, w0: BrushConfig, seq: CleaningSequence) -> CleaningTrace:
     """
     _check_sizes(g, w0)
     _check_complete(g, seq)
+    adjacency = g.adjacency
     brushes = list(w0.counts)
     cleaned = [False] * g.vertex_count
     steps: list[CleaningStep] = []
     for v in seq:
-        dirty = sorted(u for u in g.adjacency[v] if not cleaned[u])
+        dirty = sorted([u for u in adjacency[v] if not cleaned[u]])
         if brushes[v] < len(dirty):
             raise InfeasibleStepError(v, brushes[v], len(dirty))
         for u in dirty:
@@ -185,7 +186,7 @@ def simulate(g: Graph, w0: BrushConfig, seq: CleaningSequence) -> CleaningTrace:
             CleaningStep(
                 vertex=v,
                 brushes_before=before,
-                cleaned_edges=tuple((min(v, u), max(v, u)) for u in dirty),
+                cleaned_edges=tuple([(v, u) if v < u else (u, v) for u in dirty]),
                 forwarded_to=tuple(dirty),
             )
         )
@@ -289,6 +290,7 @@ def parse_sequence(text: str) -> CleaningSequence:
         raise ParseError(no, "vertex count must be non-negative")
 
     ids: list[int] = []
+    seen: set[int] = set()
     for no, line in lines:
         for tok in line.split():
             try:
@@ -297,8 +299,9 @@ def parse_sequence(text: str) -> CleaningSequence:
                 raise ParseError(no, f"non-integer id {tok!r}") from None
             if not 0 <= v < vertex_count:
                 raise ParseError(no, f"vertex {v} outside 0..{vertex_count - 1}")
-            if v in ids:
+            if v in seen:
                 raise ParseError(no, f"vertex {v} repeated")
+            seen.add(v)
             ids.append(v)
     return CleaningSequence(tuple(ids))
 

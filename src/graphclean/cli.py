@@ -13,6 +13,7 @@ import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from . import constructions as cons
 from .cleaning import (
@@ -65,33 +66,19 @@ EXIT_TOO_LARGE = 3
 EXIT_INCOMPLETE = 4
 EXIT_VERIFY_FAILED = 5
 
+T = TypeVar("T")
+
 
 # ------------------------------------------------------------- utilities
 
-def _read_text(path: str) -> str:
+def _load(parse: Callable[[str], T], path: str) -> T:
+    """Read and parse one input file, naming it in any parse error."""
     try:
-        return Path(path).read_text()
+        text = Path(path).read_text()
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc.strerror or exc}") from exc
-
-
-def _load_graph(path: str) -> Graph:
     try:
-        return parse_edge_list(_read_text(path))
-    except ParseError as exc:
-        raise ParseError(exc.line_no, exc.message, source=path) from None
-
-
-def _load_config(path: str) -> BrushConfig:
-    try:
-        return parse_brush_config(_read_text(path))
-    except ParseError as exc:
-        raise ParseError(exc.line_no, exc.message, source=path) from None
-
-
-def _load_sequence(path: str) -> CleaningSequence:
-    try:
-        return parse_sequence(_read_text(path))
+        return parse(text)
     except ParseError as exc:
         raise ParseError(exc.line_no, exc.message, source=path) from None
 
@@ -194,7 +181,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.family == "product":
         if len(args.params) != 2:
             raise InvalidParameterError("product takes two edge-list files")
-        g, _ = cartesian_product(_load_graph(args.params[0]), _load_graph(args.params[1]))
+        left, right = (_load(parse_edge_list, path) for path in args.params)
+        g, _ = cartesian_product(left, right)
     else:
         g, _ = _build_family(args.family, args.params)
     text = serialize_edge_list(g)
@@ -212,7 +200,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- solve
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
+    g = _load(parse_edge_list, args.graph)
     if args.method == "dp":
         result = brush_number_dp(g, max_vertices=args.max_dp_vertices)
     elif args.method == "bnb":
@@ -285,25 +273,26 @@ def cmd_config(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------- verify
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
-    cfg = _load_config(args.config)
+    g = _load(parse_edge_list, args.graph)
+    cfg = _load(parse_brush_config, args.config)
     if args.sequence:
-        seq = _load_sequence(args.sequence)
+        seq = _load(parse_sequence, args.sequence)
         try:
             trace = simulate(g, cfg, seq)
         except InfeasibleStepError as exc:
             print("feasible=false")
             print(f"failed_vertex={exc.vertex} have={exc.have} need={exc.need}")
             return EXIT_INFEASIBLE
+        lines = []
         for k, step in enumerate(trace.steps, start=1):
             edges = ",".join(f"{u}-{v}" for u, v in step.cleaned_edges) or "-"
             sent = ",".join(str(u) for u in step.forwarded_to) or "-"
-            print(
+            lines.append(
                 f"step={k} vertex={step.vertex} before={step.brushes_before} "
                 f"cleaned={edges} sent={sent}"
             )
-        print("feasible=true")
-        print(f"total={cfg.total}")
+        lines += ["feasible=true", f"total={cfg.total}"]
+        print("\n".join(lines))
         return EXIT_OK
     ok, outcome = can_clean(g, cfg)
     if ok:
@@ -319,8 +308,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     lab = ProductLabeling(args.m, args.n)
-    w0 = _load_config(args.config)
-    seq = _load_sequence(args.sequence)
+    w0 = _load(parse_brush_config, args.config)
+    seq = _load(parse_sequence, args.sequence)
     if args.kind == "torus-rows":
         return _reduce_torus(args, lab, w0, seq)
     return _reduce_clique_layer(args, lab, w0, seq)
@@ -667,6 +656,9 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleStepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except Exception as exc:  # a crash is not "infeasible" (Python's default exit 1)
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
 
 
 def entry() -> None:

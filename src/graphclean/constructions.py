@@ -222,21 +222,20 @@ def combine_torus_rows(
 
     new_lab = ProductLabeling(m - 1, n)
 
+    # flat ids past row `row` shift up one row; the simulation above
+    # has checked that every id is in range
+    cut = (row + 1) * n
+
     def vmap(v: int) -> int:
-        i, j = labeling.pair(v)
-        return new_lab.id(i if i <= row else i - 1, j)
+        return v if v < cut else v - n
 
     counts = [0] * ((m - 1) * n)
     for v, c in enumerate(w0.counts):
         counts[vmap(v)] += c
-    merged_order: list[int] = []
-    for v in seq:
-        nv = vmap(v)
-        if nv not in merged_order:
-            merged_order.append(nv)
     new_g, _ = _torus(m - 1, n)
     new_w0 = BrushConfig(tuple(counts))
-    new_seq = CleaningSequence(tuple(merged_order))
+    # dict keys keep each merged vertex at its first position in seq
+    new_seq = CleaningSequence(tuple(dict.fromkeys(vmap(v) for v in seq)))
     try:
         simulate(new_g, new_w0, new_seq)
     except InfeasibleStepError as exc:  # ruled out for valid inputs

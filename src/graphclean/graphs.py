@@ -1,8 +1,9 @@
 """Simple undirected graphs, product construction and edge-list text I/O.
 
 Vertices are the integers 0..vertex_count-1 throughout.  Graphs are
-immutable once built; every constructor validates that the result is
-simple (no loops, no parallel edges).
+immutable once built and always simple (no loops, no parallel edges):
+constructors validate every edge they are given, and a product of two
+simple graphs is simple by construction.
 """
 
 from __future__ import annotations
@@ -135,15 +136,15 @@ def cartesian_product(g: Graph, h: Graph) -> tuple[Graph, ProductLabeling]:
     Vertex (i, j) is adjacent to (i', j) when i~i' in g and to (i, j')
     when j~j' in h.  Returns the product plus the coordinate labeling.
     """
-    lab = ProductLabeling(g.vertex_count, h.vertex_count)
-    edges: list[tuple[int, int]] = []
-    for i in range(g.vertex_count):
-        for j, j2 in h.edges():
-            edges.append((lab.id(i, j), lab.id(i, j2)))
-    for i, i2 in g.edges():
-        for j in range(h.vertex_count):
-            edges.append((lab.id(i, j), lab.id(i2, j)))
-    return graph_from_edges(g.vertex_count * h.vertex_count, edges), lab
+    # a product of simple graphs is simple, so no edge needs validating
+    n = h.vertex_count
+    adjacency = []
+    for i, left in enumerate(g.adjacency):
+        column_ids = [k * n for k in left]
+        row = i * n
+        for j, right in enumerate(h.adjacency):
+            adjacency.append(frozenset([c + j for c in column_ids] + [row + k for k in right]))
+    return Graph(g.vertex_count * n, tuple(adjacency)), ProductLabeling(g.vertex_count, n)
 
 
 def _data_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -171,8 +172,7 @@ def parse_edge_list(text: str) -> Graph:
     if vertex_count < 0:
         raise ParseError(no, f"vertex count must be non-negative, got {vertex_count}")
 
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    nbrs: list[set[int]] = [set() for _ in range(vertex_count)]
     for no, line in lines:
         parts = line.split()
         if len(parts) != 2:
@@ -185,12 +185,11 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(no, f"self-loop at vertex {u}")
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             raise ParseError(no, f"edge ({u}, {v}) leaves the vertex range")
-        key = (min(u, v), max(u, v))
-        if key in seen:
+        if v in nbrs[u]:
             raise ParseError(no, f"duplicate edge ({u}, {v})")
-        seen.add(key)
-        edges.append(key)
-    return graph_from_edges(vertex_count, edges)
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return Graph(vertex_count, tuple(frozenset(s) for s in nbrs))
 
 
 def serialize_edge_list(g: Graph) -> str:

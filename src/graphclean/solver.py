@@ -172,10 +172,10 @@ def brush_number_bnb(
     Branches on the next-cleaned vertex, cheapest marginal cost first.
     A prefix is cut when its cost plus a parity bound on the remainder
     cannot beat the incumbent; a dominance table prunes re-visited
-    vertex sets.  upper_hint, when given, must be a valid upper bound
-    (a hint below the true value can make that value unreachable).  On
-    timeout the best sequence found so far is returned with
-    complete=False.
+    vertex sets.  upper_hint, when given, caps the search: only orders
+    costing at most upper_hint are explored.  A search that ends with
+    nothing that cheap proves the hint was below b(G), and, like a
+    timeout, returns the best sequence found with complete=False.
     """
     n = g.vertex_count
     start = time.perf_counter()
@@ -235,7 +235,7 @@ def brush_number_bnb(
         "bnb",
         states,
         time.perf_counter() - start,
-        complete=not timed_out,
+        complete=not timed_out and (upper_hint is None or best_cost <= upper_hint),
     )
 
 

@@ -268,6 +268,13 @@ def test_parse_errors_carry_line_numbers():
     assert info.value.line_no == 2
 
 
+def test_parse_sequence_repeat_names_its_line():
+    with pytest.raises(ParseError) as info:
+        parse_sequence("s 5\n0 1\n# comment\n2 3 1\n")
+    assert info.value.line_no == 4
+    assert info.value.message == "vertex 1 repeated"
+
+
 def _permutation_min(g):
     best = None
     for order in permutations(range(g.vertex_count)):

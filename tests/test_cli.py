@@ -138,6 +138,16 @@ def test_solve_missing_file(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+def test_solve_crash_exits_internal_error(tmp_path, capsys):
+    # the recursive branch-and-bound overruns the interpreter's recursion
+    # limit on 1200 vertices; a crash must not read as "infeasible" (1)
+    path = tmp_path / "k3p400.graph"
+    assert run(capsys, "gen", "km-pn", "3", "400", "-o", str(path))[0] == 0
+    code, _, err = run(capsys, "solve", str(path), "--method", "bnb")
+    assert code == 5
+    assert err.startswith("error: internal: RecursionError: ")
+
+
 # --------------------------------------------------------------- config
 
 @pytest.mark.parametrize(

@@ -176,6 +176,38 @@ def test_merge_optimal_cleaning_any_row():
         assert simulate(g2, w2, s2).total_brushes == 12
 
 
+def _shifted_canonical(m, n, a, b):
+    # the canonical torus cleaning moved by the automorphism (i, j) -> (i + a, j + b)
+    sigma = [((i + a) % m) * n + (j + b) % n for i in range(m) for j in range(n)]
+    counts = [0] * (m * n)
+    for v, c in enumerate(torus_config(m, n).counts):
+        counts[sigma[v]] = c
+    order = tuple(sigma[v] for v in torus_sequence(m, n))
+    return BrushConfig(tuple(counts)), CleaningSequence(order)
+
+
+@pytest.mark.parametrize("cleaning", ["dp", "shifted"])
+def test_merge_keeps_first_occurrence_order(cleaning):
+    g, lab = torus(4, 4)
+    w0, seq = dp_cleaning(g)[:2] if cleaning == "dp" else _shifted_canonical(4, 4, 2, 1)
+    for row in range(lab.m - 1):
+        _, lab2, w2, s2 = combine_torus_rows(lab, w0, seq, row)
+
+        def merged(v):
+            i, j = lab.pair(v)
+            return lab2.id(i if i <= row else i - 1, j)
+
+        expected_counts = [0] * (lab2.m * lab2.n)
+        for v, c in enumerate(w0.counts):
+            expected_counts[merged(v)] += c
+        expected_order = []
+        for v in seq:
+            if merged(v) not in expected_order:
+                expected_order.append(merged(v))
+        assert w2.counts == tuple(expected_counts)
+        assert s2.order == tuple(expected_order)
+
+
 def test_merge_rejects_bad_inputs():
     lab = ProductLabeling(4, 3)
     w0, seq = torus_config(4, 3), torus_sequence(4, 3)

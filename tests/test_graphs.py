@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from graphclean import (
     InvalidParameterError,
     ParseError,
+    ProductLabeling,
     cartesian_product,
     graph_from_edges,
     is_connected,
@@ -91,6 +92,17 @@ def test_product_adjacency_rule():
             assert g.has_edge(lab.id(i, j), lab.id(k, l)) == expected
 
 
+@given(graphs(min_vertices=0, max_vertices=6), graphs(min_vertices=0, max_vertices=6))
+def test_product_matches_edge_construction(g, h):
+    # reference: list the product's edges by the definition and validate them
+    n = h.vertex_count
+    edges = [(i * n + j, i * n + k) for i in g.vertices() for j, k in h.edges()]
+    edges += [(i * n + j, k * n + j) for i, k in g.edges() for j in h.vertices()]
+    prod, lab = cartesian_product(g, h)
+    assert prod == graph_from_edges(g.vertex_count * n, edges)
+    assert lab == ProductLabeling(g.vertex_count, n)
+
+
 @given(graphs(max_vertices=6), graphs(max_vertices=4))
 def test_product_degree_additivity(g, h):
     prod, lab = cartesian_product(g, h)
@@ -134,6 +146,13 @@ def test_parse_rejects_self_loop():
 def test_parse_rejects_malformed(text):
     with pytest.raises(ParseError):
         parse_edge_list(text)
+
+
+def test_parse_rejects_reversed_duplicate():
+    with pytest.raises(ParseError) as info:
+        parse_edge_list("p 3\n0 1\n1 2\n1 0\n")
+    assert info.value.line_no == 4
+    assert info.value.message == "duplicate edge (1, 0)"
 
 
 @given(graphs())

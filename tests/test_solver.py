@@ -173,6 +173,22 @@ def test_bnb_timeout_flags_incomplete():
     assert brush_number_bnb(make_cycle(5), timeout=30).complete
 
 
+# a G(10, 0.4) graph whose greedy first order costs 8 against b(G) = 7
+BAD_HINT_EDGES = [
+    (0, 2), (0, 8), (0, 9), (1, 3), (1, 7), (1, 8), (1, 9), (2, 3), (2, 5), (2, 8),
+    (3, 4), (3, 7), (3, 8), (4, 5), (4, 7), (4, 9), (5, 9), (6, 7), (7, 9), (8, 9),
+]
+
+
+def test_bnb_hint_below_optimum_is_incomplete():
+    g = graph_from_edges(10, BAD_HINT_EDGES)
+    assert brush_number_dp(g).value == 7
+    below = brush_number_bnb(g, 6)
+    assert not below.complete and below.value > 6
+    exact = brush_number_bnb(g, 7)
+    assert exact.complete and exact.value == 7
+
+
 # ------------------------------------------------------------- box sweep
 
 def test_box_sweep_order_three():
