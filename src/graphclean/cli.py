@@ -572,12 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Brush-number toolkit: generators, exact solvers, "
         "closed-form configurations and structural reductions.",
     )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed for sampled workloads (current suites are exhaustive)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="write a family graph as an edge list")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -30,14 +30,16 @@ from .graphs import (
     cartesian_product,
     graph_from_edges,
     is_connected,
-    make_clique,
-    make_path,
 )
 
 DEFAULT_DP_CAP = 22
+# Peak bytes per subset state in brush_number_dp, reached while the layer
+# order is sorted: the uint8 popcount (1), argsort's int64 result (8) and
+# the sort's own int64 buffer (8).  The int32 order (4) and table f (4)
+# replace the int64 arrays once the sort is done.
+DP_BYTES_PER_STATE = 17
 
 _INF = 1 << 28
-_pc16_table: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -48,17 +50,6 @@ class SolveResult:
     states: int
     seconds: float
     complete: bool = True
-
-
-def _pc16() -> np.ndarray:
-    # 16-bit popcount lookup, built once by doubling
-    global _pc16_table
-    if _pc16_table is None:
-        t = np.zeros(1, dtype=np.int32)
-        while t.size < (1 << 16):
-            t = np.concatenate([t, t + 1])
-        _pc16_table = t
-    return _pc16_table
 
 
 def _adjacency_masks(g: Graph) -> tuple[list[int], list[int]]:
@@ -88,7 +79,7 @@ def brush_number_dp(
     n = g.vertex_count
     if n > max_vertices:
         raise TooLargeError(f"{n} vertices exceed the DP cap of {max_vertices}")
-    est_mb = ((1 << n) * 28) // (1024 * 1024)
+    est_mb = ((1 << n) * DP_BYTES_PER_STATE) // (1024 * 1024)
     if est_mb > memory_limit_mb:
         raise ResourceLimitError(
             f"DP on {n} vertices needs about {est_mb} MB, limit is {memory_limit_mb} MB"
@@ -99,10 +90,8 @@ def brush_number_dp(
 
     masks, degs = _adjacency_masks(g)
     size = 1 << n
-    pc = _pc16()
-    ids = np.arange(size, dtype=np.int32)
-    popcnt = pc[ids & 0xFFFF] + pc[ids >> 16]
-    del ids
+    popcnt = np.bitwise_count(np.arange(size, dtype=np.int32))
+    # a stable argsort of uint8 keys is a radix sort
     order = np.argsort(popcnt, kind="stable").astype(np.int32)
     bounds = np.searchsorted(popcnt[order], np.arange(n + 2))
     del popcnt
@@ -118,7 +107,9 @@ def brush_number_dp(
                 continue
             prev = mine ^ bit
             inter = prev & masks[v]
-            cost = degs[v] - 2 * (pc[inter & 0xFFFF] + pc[inter >> 16])
+            # counts are below 32: a signed view keeps deg - 2*count from
+            # wrapping, as it would in uint8
+            cost = degs[v] - 2 * np.bitwise_count(inter).view(np.int8)
             np.maximum(cost, 0, out=cost)
             f[mine] = np.minimum(f[mine], f[prev] + cost)
 
@@ -311,7 +302,10 @@ def check_box_conjecture(
     """Exact sweep of all 2^(m(m-1)/2) labeled left factors on m vertices.
 
     Flags every graph whose product value leaves the closed interval
-    [b(P_m x H), b(K_m x H)].  No isomorphism reduction is applied.
+    [b(P_m x H), b(K_m x H)].  Relabelling G relabels G x H, so the DP
+    runs once per isomorphism class: the first labeled graph met of a
+    class is solved, and its value is stored under the edge bitmask of
+    each of its m! relabellings.
     """
     if not 2 <= m <= 5:
         raise InvalidParameterError(f"left-factor order must be 2..5, got {m}")
@@ -319,33 +313,49 @@ def check_box_conjecture(
         raise TooLargeError(
             f"products on {m * h.vertex_count} vertices exceed the DP cap of {max_vertices}"
         )
-    path_value = brush_number_dp(
-        cartesian_product(make_path(m), h)[0], max_vertices=max_vertices
-    ).value
-    clique_value = brush_number_dp(
-        cartesian_product(make_clique(m), h)[0], max_vertices=max_vertices
-    ).value
-
     pairs = list(combinations(range(m), 2))
+    bit = {pair: 1 << i for i, pair in enumerate(pairs)}
+    # per vertex permutation, the bit that each pair's bit moves to
+    moves = [
+        [bit[min(p[u], p[v]), max(p[u], p[v])] for u, v in pairs]
+        for p in permutations(range(m))
+    ]
+
+    def edges_of(bits: int) -> tuple[tuple[int, int], ...]:
+        return tuple(pair for i, pair in enumerate(pairs) if bits >> i & 1)
+
+    # edge bitmask -> product value, None for a disconnected left factor
+    values: dict[int, int | None] = {}
+    for bits in range(1 << len(pairs)):
+        if bits in values:
+            continue
+        left = graph_from_edges(m, edges_of(bits))
+        value = None
+        if is_connected(left):
+            product, _ = cartesian_product(left, h)
+            value = brush_number_dp(product, max_vertices=max_vertices).value
+        present = [i for i in range(len(pairs)) if bits >> i & 1]
+        for move in moves:
+            values[sum(move[i] for i in present)] = value
+
+    path_value = values[sum(bit[i, i + 1] for i in range(m - 1))]
+    clique_value = values[(1 << len(pairs)) - 1]
     min_value, max_value = _INF, -1
     min_edges: tuple[tuple[int, int], ...] = ()
     max_edges: tuple[tuple[int, int], ...] = ()
     violations: list[tuple[tuple[tuple[int, int], ...], int]] = []
     connected_checked = 0
     for bits in range(1 << len(pairs)):
-        edges = tuple(pairs[i] for i in range(len(pairs)) if bits >> i & 1)
-        left = graph_from_edges(m, edges)
-        if not is_connected(left):
+        value = values[bits]
+        if value is None:
             continue
         connected_checked += 1
-        product, _ = cartesian_product(left, h)
-        value = brush_number_dp(product, max_vertices=max_vertices).value
         if value < min_value:
-            min_value, min_edges = value, edges
+            min_value, min_edges = value, edges_of(bits)
         if value > max_value:
-            max_value, max_edges = value, edges
+            max_value, max_edges = value, edges_of(bits)
         if not path_value <= value <= clique_value:
-            violations.append((edges, value))
+            violations.append((edges_of(bits), value))
     return BoxConjectureReport(
         m=m,
         h_vertex_count=h.vertex_count,

@@ -6,12 +6,15 @@ branch-and-bound must reproduce the DP.
 """
 
 import random
+import tracemalloc
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphclean import (
+    BoxConjectureReport,
     InvalidParameterError,
     ResourceLimitError,
     TooLargeError,
@@ -21,6 +24,7 @@ from graphclean import (
     cartesian_product,
     check_box_conjecture,
     graph_from_edges,
+    is_connected,
     make_clique,
     make_cycle,
     make_path,
@@ -28,6 +32,7 @@ from graphclean import (
     parity_lower_bound,
     simulate,
 )
+from graphclean import solver
 
 SOLVERS = {
     "dp": brush_number_dp,
@@ -159,6 +164,18 @@ def test_dp_memory_guard():
         brush_number_dp(make_clique(22), memory_limit_mb=1)
 
 
+def test_dp_memory_estimate_bounds_traced_peak():
+    g = make_cycle(16)
+    tracemalloc.start()
+    try:
+        brush_number_dp(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    estimate = solver.DP_BYTES_PER_STATE << 16
+    assert estimate // 2 <= peak <= estimate
+
+
 def test_brute_cap():
     with pytest.raises(TooLargeError):
         brute_force_permutations(make_clique(10))
@@ -210,3 +227,68 @@ def test_box_sweep_guards():
         check_box_conjecture(make_clique(5), 5)
     with pytest.raises(InvalidParameterError):
         check_box_conjecture(make_path(2), 6)
+
+
+def labeled_box_sweep(h, m, solve):
+    """The box sweep by definition: one solve per connected labeled factor."""
+    pairs = list(combinations(range(m), 2))
+    path = solve(cartesian_product(make_path(m), h)[0]).value
+    clique = solve(cartesian_product(make_clique(m), h)[0]).value
+    rows = []
+    for bits in range(1 << len(pairs)):
+        edges = tuple(pair for i, pair in enumerate(pairs) if bits >> i & 1)
+        left = graph_from_edges(m, edges)
+        if is_connected(left):
+            rows.append((edges, solve(cartesian_product(left, h)[0]).value))
+    # min and max keep the first row that attains them, as the sweep does
+    low = min(rows, key=lambda row: row[1])
+    high = max(rows, key=lambda row: row[1])
+    return BoxConjectureReport(
+        m=m,
+        h_vertex_count=h.vertex_count,
+        path_value=path,
+        clique_value=clique,
+        min_value=low[1],
+        max_value=high[1],
+        min_edges=low[0],
+        max_edges=high[0],
+        graphs_checked=1 << len(pairs),
+        connected_checked=len(rows),
+        violations=tuple(row for row in rows if not path <= row[1] <= clique),
+    )
+
+
+BOX_FACTORS = {"P2": make_path(2), "P3": make_path(3), "C3": make_cycle(3), "K3": make_clique(3)}
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("factor", sorted(BOX_FACTORS))
+def test_box_sweep_matches_labeled_sweep(m, factor):
+    h = BOX_FACTORS[factor]
+    assert check_box_conjecture(h, m) == labeled_box_sweep(h, m, brush_number_dp)
+
+
+def test_box_sweep_violations_match_labeled_sweep(monkeypatch):
+    # an isomorphism-invariant stand-in for b that breaks the sandwich,
+    # so the violation list and the min/max attainers are exercised
+    def fake(g, **_):
+        return SimpleNamespace(value=sum(g.degree(v) ** 2 for v in range(g.vertex_count)) % 7)
+
+    expected = labeled_box_sweep(make_path(2), 4, fake)
+    assert expected.violations
+    monkeypatch.setattr(solver, "brush_number_dp", fake)
+    assert check_box_conjecture(make_path(2), 4) == expected
+
+
+@pytest.mark.parametrize("m, classes", [(4, 6), (5, 21)])
+def test_box_sweep_one_dp_per_isomorphism_class(monkeypatch, m, classes):
+    calls = []
+
+    def counted(g, **kwargs):
+        calls.append(g.vertex_count)
+        return brush_number_dp(g, **kwargs)
+
+    monkeypatch.setattr(solver, "brush_number_dp", counted)
+    report = check_box_conjecture(make_path(2), m)
+    assert report.connected_checked == {4: 38, 5: 728}[m]
+    assert len(calls) == classes  # connected graphs on m vertices
