@@ -20,7 +20,7 @@ from .errors import (
     InvalidSequenceError,
     ParseError,
 )
-from .graphs import Graph, _data_lines
+from .graphs import Graph, _read_header
 
 
 @dataclass(frozen=True)
@@ -230,20 +230,7 @@ def can_clean(
 
 def parse_brush_config(text: str) -> BrushConfig:
     """Parse the config format: "b N" header, then "v count" lines."""
-    lines = _data_lines(text)
-    try:
-        no, header = next(lines)
-    except StopIteration:
-        raise ParseError(1, "missing 'b <vertex_count>' header") from None
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "b":
-        raise ParseError(no, f"expected 'b <vertex_count>', got {header!r}")
-    try:
-        vertex_count = int(parts[1])
-    except ValueError:
-        raise ParseError(no, f"vertex count {parts[1]!r} is not an integer") from None
-    if vertex_count < 0:
-        raise ParseError(no, "vertex count must be non-negative")
+    lines, vertex_count = _read_header(text, "b")
 
     counts = [0] * vertex_count
     seen: set[int] = set()
@@ -274,20 +261,7 @@ def serialize_brush_config(w0: BrushConfig) -> str:
 
 def parse_sequence(text: str) -> CleaningSequence:
     """Parse the sequence format: "s N" header, then whitespace-separated ids."""
-    lines = _data_lines(text)
-    try:
-        no, header = next(lines)
-    except StopIteration:
-        raise ParseError(1, "missing 's <vertex_count>' header") from None
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "s":
-        raise ParseError(no, f"expected 's <vertex_count>', got {header!r}")
-    try:
-        vertex_count = int(parts[1])
-    except ValueError:
-        raise ParseError(no, f"vertex count {parts[1]!r} is not an integer") from None
-    if vertex_count < 0:
-        raise ParseError(no, "vertex count must be non-negative")
+    lines, vertex_count = _read_header(text, "s")
 
     ids: list[int] = []
     seen: set[int] = set()

@@ -28,28 +28,13 @@ from .cleaning import (
     simulate,
 )
 from .errors import (
+    GraphCleanError,
     InfeasibleStepError,
-    InternalInconsistencyError,
-    InvalidClassificationError,
     InvalidInputError,
-    InvalidOrientationError,
     InvalidParameterError,
-    InvalidSequenceError,
     ParseError,
-    PreconditionViolationError,
-    ResourceLimitError,
-    TooLargeError,
 )
-from .graphs import (
-    Graph,
-    ProductLabeling,
-    cartesian_product,
-    make_clique,
-    make_cycle,
-    make_path,
-    parse_edge_list,
-    serialize_edge_list,
-)
+from .graphs import Graph, ProductLabeling, cartesian_product, parse_edge_list, serialize_edge_list
 from .solver import (
     DEFAULT_DP_CAP,
     brush_number_bnb,
@@ -61,10 +46,8 @@ from .solver import (
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
-EXIT_BAD_INPUT = 2
-EXIT_TOO_LARGE = 3
 EXIT_INCOMPLETE = 4
-EXIT_VERIFY_FAILED = 5
+EXIT_VERIFY_FAILED = 5  # other exit codes come from GraphCleanError.exit_code
 
 T = TypeVar("T")
 
@@ -91,15 +74,19 @@ def _fmt_seq(seq: CleaningSequence) -> str:
     return " ".join(str(v) for v in seq.order)
 
 
-def _int_params(family: str, params: list[str], count: int) -> list[int]:
-    if len(params) != count:
+def _family(family: str, params: list[str]) -> tuple[cons.Family, list[int], Graph]:
+    """Look up a family, check its parameters and build its graph."""
+    entry = cons.FAMILIES[family]
+    if len(params) != entry.arity:
         raise InvalidParameterError(
-            f"{family} takes {count} parameter{'s' if count != 1 else ''}, got {len(params)}"
+            f"{family} takes {entry.arity} parameter{'s' if entry.arity != 1 else ''}, "
+            f"got {len(params)}"
         )
     try:
-        return [int(p) for p in params]
+        ints = [int(p) for p in params]
     except ValueError:
         raise InvalidParameterError(f"{family} parameters must be integers: {params}") from None
+    return entry, ints, entry.build(*ints)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -128,18 +115,16 @@ def _parse_instances(text: str) -> list[tuple[int, int]]:
 
 
 def _parse_factor(spec: str) -> tuple[str, Graph]:
-    kind, rest = spec[:1].upper(), spec[1:]
+    """A box right factor such as P3: a one-parameter family and its order."""
+    label = spec[:1].upper() + "{}"
+    entry = next((f for f in cons.FAMILIES.values() if f.label == label), None)
     try:
-        k = int(rest)
+        k = int(spec[1:])
     except ValueError:
-        raise InvalidParameterError(f"bad factor {spec!r}, expected P<k>, C<k> or K<k>") from None
-    if kind == "P":
-        return f"P{k}", make_path(k)
-    if kind == "C":
-        return f"C{k}", make_cycle(k)
-    if kind == "K":
-        return f"K{k}", make_clique(k)
-    raise InvalidParameterError(f"bad factor {spec!r}, expected P<k>, C<k> or K<k>")
+        entry = None
+    if entry is None:
+        raise InvalidParameterError(f"bad factor {spec!r}, expected P<k>, C<k> or K<k>")
+    return label.format(k), entry.build(k)
 
 
 def _write(path: Path, text: str) -> None:
@@ -149,34 +134,6 @@ def _write(path: Path, text: str) -> None:
 
 # ------------------------------------------------------------------ gen
 
-def _build_family(family: str, params: list[str]) -> tuple[Graph, ProductLabeling | None]:
-    if family == "path":
-        (k,) = _int_params(family, params, 1)
-        return make_path(k), None
-    if family == "cycle":
-        (k,) = _int_params(family, params, 1)
-        return make_cycle(k), None
-    if family == "clique":
-        (k,) = _int_params(family, params, 1)
-        return make_clique(k), None
-    if family == "torus":
-        m, n = _int_params(family, params, 2)
-        cons.torus_brush_number(m, n)  # validates dimensions
-        return cartesian_product(make_cycle(m), make_cycle(n))
-    if family == "km-pn":
-        m, n = _int_params(family, params, 2)
-        cons.km_pn_brush_number(m, n)
-        return cartesian_product(make_clique(m), make_path(n))
-    if family == "km-cn":
-        m, n = _int_params(family, params, 2)
-        if m < 2 or n < 3:
-            raise InvalidParameterError(
-                f"clique-cycle product needs m >= 2 and n >= 3, got {m} x {n}"
-            )
-        return cartesian_product(make_clique(m), make_cycle(n))
-    raise InvalidParameterError(f"unknown family {family!r}")
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.family == "product":
         if len(args.params) != 2:
@@ -184,7 +141,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         left, right = (_load(parse_edge_list, path) for path in args.params)
         g, _ = cartesian_product(left, right)
     else:
-        g, _ = _build_family(args.family, args.params)
+        _, _, g = _family(args.family, args.params)
     text = serialize_edge_list(g)
     if args.output:
         Path(args.output).write_text(text)
@@ -222,32 +179,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 # --------------------------------------------------------------- config
 
-def _family_artifacts(
-    family: str, params: list[str]
-) -> tuple[Graph, BrushConfig, CleaningSequence, int]:
-    if family == "path":
-        (k,) = _int_params(family, params, 1)
-        return make_path(k), cons.path_config(k), cons.path_sequence(k), 1
-    if family == "cycle":
-        (k,) = _int_params(family, params, 1)
-        return make_cycle(k), cons.cycle_config(k), cons.cycle_sequence(k), 2
-    if family == "clique":
-        (k,) = _int_params(family, params, 1)
-        return make_clique(k), cons.clique_config(k), cons.clique_sequence(k), k * k // 4
-    if family == "torus":
-        m, n = _int_params(family, params, 2)
-        g, _ = cartesian_product(make_cycle(m), make_cycle(n))
-        return g, cons.torus_config(m, n), cons.torus_sequence(m, n), cons.torus_brush_number(m, n)
-    if family == "km-pn":
-        m, n = _int_params(family, params, 2)
-        g, _ = cartesian_product(make_clique(m), make_path(n))
-        cfg = cons.km_pn_config(m, n) if m % 2 == 0 else cons.km_pn_config_odd(m, n)
-        return g, cfg, cons.km_pn_sequence(m, n), cons.km_pn_brush_number(m, n)
-    raise InvalidParameterError(f"no closed-form config for family {family!r}")
-
-
 def cmd_config(args: argparse.Namespace) -> int:
-    g, cfg, seq, formula = _family_artifacts(args.family, args.params)
+    entry, ints, g = _family(args.family, args.params)
+    cfg, seq, formula = entry.config(*ints), entry.sequence(*ints), entry.formula(*ints)
     try:
         simulate(g, cfg, seq)
         verified = True
@@ -323,7 +257,7 @@ def _reduce_torus(
     if args.row is not None:
         g2, lab2, w2, s2 = cons.combine_torus_rows(lab, w0, seq, args.row)
         print(f"row={args.row}")
-        print(f"reduced=C{lab2.m}xC{lab2.n}")
+        print(f"reduced={cons.FAMILIES['torus'].label.format(lab2.m, lab2.n)}")
         print(f"total_after={w2.total}")
         print("savings=0")
         out = (g2, w2, s2)
@@ -333,7 +267,7 @@ def _reduce_torus(
         print(f"pair={red.correct.pair[0]},{red.correct.pair[1]}")
         print(f"target={red.correct.target}")
         print(f"removed_at={red.removed_at}")
-        print(f"reduced=C{red.labeling.m}xC{red.labeling.n}")
+        print(f"reduced={cons.FAMILIES['torus'].label.format(red.labeling.m, red.labeling.n)}")
         print(f"total_after={red.total_after}")
         print(f"savings={red.total_before - red.total_after}")
         out = (red.graph, red.config, red.sequence)
@@ -358,7 +292,7 @@ def _reduce_clique_layer(
     for note in counts.diagnostics:
         print(f"diagnostic={note}")
     g2, lab2, w2 = cons.delete_clique_layer(lab, w0, seq)
-    print(f"reduced=K{lab2.m}xP{lab2.n}")
+    print(f"reduced={cons.FAMILIES['km-pn'].label.format(lab2.m, lab2.n)}")
     print(f"total_before={w0.total}")
     print(f"total_after={w2.total}")
     print(f"savings={w0.total - w2.total}")
@@ -393,66 +327,7 @@ def _reduce_clique_layer(
 # --------------------------------------------------------------- report
 
 def _report_worker(task: dict) -> dict:
-    kind = task["kind"]
-    cap, timeout = task["cap"], task["timeout"]
-    if kind in ("torus", "km-pn"):
-        m, n = task["m"], task["n"]
-        if kind == "torus":
-            label = f"C{m}xC{n}"
-            formula = cons.torus_brush_number(m, n)
-            g, _ = cartesian_product(make_cycle(m), make_cycle(n))
-        else:
-            label = f"K{m}xP{n}"
-            formula = cons.km_pn_brush_number(m, n)
-            g, _ = cartesian_product(make_clique(m), make_path(n))
-        if g.vertex_count <= cap:
-            res = brush_number_dp(g, max_vertices=cap)
-        else:
-            res = brush_number_bnb(g, timeout=timeout)
-        if not res.complete:
-            match = "incomplete"
-        else:
-            match = "yes" if res.value == formula else "no"
-        return {
-            "instance": label,
-            "formula": str(formula),
-            "solver": str(res.value),
-            "match": match,
-            "method": res.method,
-            "states": str(res.states),
-            "seconds": f"{res.seconds:.3f}",
-        }
-    if kind == "km-cn":
-        m, n = task["m"], task["n"]
-        g, _ = cartesian_product(make_clique(m), make_cycle(n))
-        if g.vertex_count > cap:
-            return {
-                "instance": f"K{m}xC{n}",
-                "solver": "-",
-                "fixed": str(m * m // 4 + 2),
-                "scaled": str(n * (m * m // 4) + 2),
-                "verdict": "skipped",
-                "seconds": "-",
-            }
-        res = brush_number_dp(g, max_vertices=cap)
-        fixed = m * m // 4 + 2
-        scaled = n * (m * m // 4) + 2
-        if res.value == fixed and res.value == scaled:
-            verdict = "both"
-        elif res.value == fixed:
-            verdict = "fixed"
-        elif res.value == scaled:
-            verdict = "scaled"
-        else:
-            verdict = "neither"
-        return {
-            "instance": f"K{m}xC{n}",
-            "solver": str(res.value),
-            "fixed": str(fixed),
-            "scaled": str(scaled),
-            "verdict": verdict,
-            "seconds": f"{res.seconds:.3f}",
-        }
+    kind, cap = task["kind"], task["cap"]
     if kind == "box":
         label, h = _parse_factor(task["factor"])
         report = check_box_conjecture(h, task["order"], max_vertices=cap)
@@ -468,7 +343,55 @@ def _report_worker(task: dict) -> dict:
             "violations": str(len(report.violations)),
             "match": "yes" if report.holds else "no",
         }
-    raise InvalidParameterError(f"unknown report kind {kind!r}")
+    entry, m, n = cons.FAMILIES[kind], task["m"], task["n"]
+    g, label = entry.build(m, n), entry.label.format(m, n)
+    if kind == "km-cn":
+        fixed = m * m // 4 + 2
+        scaled = n * (m * m // 4) + 2
+        if g.vertex_count > cap:
+            return {
+                "instance": label,
+                "solver": "-",
+                "fixed": str(fixed),
+                "scaled": str(scaled),
+                "verdict": "skipped",
+                "seconds": "-",
+            }
+        res = brush_number_dp(g, max_vertices=cap)
+        if res.value == fixed and res.value == scaled:
+            verdict = "both"
+        elif res.value == fixed:
+            verdict = "fixed"
+        elif res.value == scaled:
+            verdict = "scaled"
+        else:
+            verdict = "neither"
+        return {
+            "instance": label,
+            "solver": str(res.value),
+            "fixed": str(fixed),
+            "scaled": str(scaled),
+            "verdict": verdict,
+            "seconds": f"{res.seconds:.3f}",
+        }
+    formula = entry.formula(m, n)
+    if g.vertex_count <= cap:
+        res = brush_number_dp(g, max_vertices=cap)
+    else:
+        res = brush_number_bnb(g, timeout=task["timeout"])
+    if not res.complete:
+        match = "incomplete"
+    else:
+        match = "yes" if res.value == formula else "no"
+    return {
+        "instance": label,
+        "formula": str(formula),
+        "solver": str(res.value),
+        "match": match,
+        "method": res.method,
+        "states": str(res.states),
+        "seconds": f"{res.seconds:.3f}",
+    }
 
 
 _REPORT_COLUMNS = {
@@ -575,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="write a family graph as an edge list")
-    p.add_argument("family", choices=["path", "cycle", "clique", "torus", "km-pn", "km-cn", "product"])
+    p.add_argument("family", choices=[*cons.FAMILIES, "product"])
     p.add_argument("params", nargs="*")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_gen)
@@ -589,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("config", help="closed-form configuration for a family")
-    p.add_argument("family", choices=["path", "cycle", "clique", "torus", "km-pn"])
+    p.add_argument("family", choices=[k for k, f in cons.FAMILIES.items() if f.config])
     p.add_argument("params", nargs="*")
     p.add_argument("--out-prefix")
     p.set_defaults(func=cmd_config)
@@ -611,7 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("report", help="closed forms against exact values, per suite")
-    p.add_argument("suite", choices=["torus", "km-pn", "km-cn", "box"])
+    products = [k for k, f in cons.FAMILIES.items() if f.arity == 2]
+    p.add_argument("suite", choices=[*products, "box"])
     p.add_argument("--m-range")
     p.add_argument("--n-range")
     p.add_argument("--instances", help="explicit MxN list, e.g. 3x3,4x5")
@@ -629,27 +553,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except GraphCleanError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (
-        InvalidParameterError,
-        InvalidInputError,
-        InvalidSequenceError,
-        InvalidOrientationError,
-        PreconditionViolationError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (TooLargeError, ResourceLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    except (InternalInconsistencyError, InvalidClassificationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-    except InfeasibleStepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        return exc.exit_code
     except Exception as exc:  # a crash is not "infeasible" (Python's default exit 1)
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED

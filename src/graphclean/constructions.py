@@ -10,15 +10,9 @@ K_m x P_n: clique index i, path index j, same flat id rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
-from .cleaning import (
-    BrushConfig,
-    CleaningSequence,
-    can_clean,
-    minimal_config_for_sequence,
-    simulate,
-)
+from .cleaning import BrushConfig, CleaningSequence, can_clean, simulate
 from .errors import (
     InfeasibleStepError,
     InternalInconsistencyError,
@@ -28,7 +22,6 @@ from .errors import (
     PreconditionViolationError,
 )
 from .graphs import Graph, ProductLabeling, cartesian_product, make_clique, make_cycle, make_path
-from .solver import brush_number_dp
 
 
 # ---------------------------------------------------------------- families
@@ -114,31 +107,14 @@ def km_pn_config(m: int, n: int) -> BrushConfig:
 def km_pn_config_odd(m: int, n: int) -> BrushConfig:
     """Same column layout for odd m >= 3; total n * floor(m^2/4) + 1.
 
-    The layout is checked by simulation before being returned; if some
-    size ever fell outside its reach, an exact witness at DP scale is
-    substituted so the advertised total still holds.
+    The layout cleans along km_pn_sequence for every m, n >= 2: vertex
+    (i, j) fires holding its own brushes plus i + [j > 0] received,
+    against m - 1 - i + [j < n - 1] dirty edges.
     """
     _check_km_pn_dims(m, n)
     if m % 2 == 0:
         raise InvalidParameterError(f"clique order must be odd here, got {m}")
-    if m < 3:
-        raise InvalidParameterError(f"odd clique order must be >= 3, got {m}")
-    cfg = _km_pn_column_layout(m, n)
-    g, _ = _km_pn(m, n)
-    try:
-        simulate(g, cfg, km_pn_sequence(m, n))
-        return cfg
-    except InfeasibleStepError:
-        pass
-    ok, _ = can_clean(g, cfg)
-    if ok:
-        return cfg
-    result = brush_number_dp(g)  # falls through to TooLargeError past the cap
-    if result.value != km_pn_brush_number(m, n):
-        raise InternalInconsistencyError(
-            f"exact value {result.value} contradicts the closed form for K{m} x P{n}"
-        )
-    return minimal_config_for_sequence(g, result.witness)
+    return _km_pn_column_layout(m, n)
 
 
 def km_pn_sequence(m: int, n: int) -> CleaningSequence:
@@ -173,12 +149,73 @@ def _check_km_pn_dims(m: int, n: int) -> None:
         )
 
 
-def _torus(m: int, n: int) -> tuple[Graph, ProductLabeling]:
-    return cartesian_product(make_cycle(m), make_cycle(n))
+def _check_km_cn_dims(m: int, n: int) -> None:
+    if m < 2 or n < 3:
+        raise InvalidParameterError(
+            f"clique-cycle product needs m >= 2 and n >= 3, got {m} x {n}"
+        )
 
 
-def _km_pn(m: int, n: int) -> tuple[Graph, ProductLabeling]:
-    return cartesian_product(make_clique(m), make_path(n))
+def _product(
+    check: Callable[[int, int], None], left: Callable[[int], Graph], right: Callable[[int], Graph]
+) -> Callable[[int, int], Graph]:
+    def build(m: int, n: int) -> Graph:
+        check(m, n)
+        return cartesian_product(left(m), right(n))[0]
+
+    return build
+
+
+@dataclass(frozen=True)
+class Family:
+    """A graph family: label names an instance with one {} per integer
+    parameter; build checks the parameters and makes the graph; config,
+    sequence and formula give the closed-form optimal cleaning and the
+    brush number, where known.  The table's lambdas look the closed
+    forms up by name at call time, so rebinding a module attribute (as
+    a tracer does) is seen."""
+
+    label: str
+    build: Callable[..., Graph]
+    config: Callable[..., BrushConfig] | None = None
+    sequence: Callable[..., CleaningSequence] | None = None
+    formula: Callable[..., int] | None = None
+
+    @property
+    def arity(self) -> int:
+        return self.label.count("{}")
+
+
+FAMILIES: dict[str, Family] = {
+    "path": Family(
+        "P{}", make_path, lambda k: path_config(k), lambda k: path_sequence(k), lambda k: 1
+    ),
+    "cycle": Family(
+        "C{}", make_cycle, lambda k: cycle_config(k), lambda k: cycle_sequence(k), lambda k: 2
+    ),
+    "clique": Family(
+        "K{}",
+        make_clique,
+        lambda k: clique_config(k),
+        lambda k: clique_sequence(k),
+        lambda k: k * k // 4,
+    ),
+    "torus": Family(
+        "C{}xC{}",
+        _product(_check_torus_dims, make_cycle, make_cycle),
+        lambda m, n: torus_config(m, n),
+        lambda m, n: torus_sequence(m, n),
+        lambda m, n: torus_brush_number(m, n),
+    ),
+    "km-pn": Family(
+        "K{}xP{}",
+        _product(_check_km_pn_dims, make_clique, make_path),
+        lambda m, n: km_pn_config(m, n) if m % 2 == 0 else km_pn_config_odd(m, n),
+        lambda m, n: km_pn_sequence(m, n),
+        lambda m, n: km_pn_brush_number(m, n),
+    ),
+    "km-cn": Family("K{}xC{}", _product(_check_km_cn_dims, make_clique, make_cycle)),
+}
 
 
 # ------------------------------------------------------- torus row merging
@@ -217,7 +254,7 @@ def combine_torus_rows(
         raise InvalidParameterError(f"merging rows needs m >= 4, got {m}")
     if not 0 <= row <= m - 2:
         raise InvalidParameterError(f"row must be in 0..{m - 2}, got {row}")
-    g, _ = _torus(m, n)
+    g = FAMILIES["torus"].build(m, n)
     _simulate_or_invalid(g, w0, seq)
 
     new_lab = ProductLabeling(m - 1, n)
@@ -232,7 +269,7 @@ def combine_torus_rows(
     counts = [0] * ((m - 1) * n)
     for v, c in enumerate(w0.counts):
         counts[vmap(v)] += c
-    new_g, _ = _torus(m - 1, n)
+    new_g = FAMILIES["torus"].build(m - 1, n)
     new_w0 = BrushConfig(tuple(counts))
     # dict keys keep each merged vertex at its first position in seq
     new_seq = CleaningSequence(tuple(dict.fromkeys(vmap(v) for v in seq)))
@@ -277,8 +314,15 @@ class TorusReduction:
 def find_correct_rows(
     labeling: ProductLabeling, w0: BrushConfig, seq: CleaningSequence
 ) -> CorrectRows:
-    """Locate the adjacent rows (or columns) whose merge admits removing
-    two brushes while staying cleanable.
+    """The adjacent rows (or columns) whose merge admits removing two
+    brushes while staying cleanable; see reduce_torus."""
+    return reduce_torus(labeling, w0, seq).correct
+
+
+def reduce_torus(
+    labeling: ProductLabeling, w0: BrushConfig, seq: CleaningSequence
+) -> TorusReduction:
+    """Merge the correct rows and remove two brushes; full artifact.
 
     Scans the cleaning order for the first vertex with fewer than four
     initial brushes; that vertex has an earlier-cleaned neighbour, and
@@ -288,34 +332,11 @@ def find_correct_rows(
     with later deficient vertices, validating each candidate by
     simulation.  Requires an optimal input cleaning.
     """
-    for correct, _ in _savings_candidates(labeling, w0, seq):
-        return correct
-    raise InternalInconsistencyError(
-        "no adjacent row or column pair frees two brushes; "
-        "this contradicts the structure of an optimal torus cleaning"
-    )
-
-
-def reduce_torus(
-    labeling: ProductLabeling, w0: BrushConfig, seq: CleaningSequence
-) -> TorusReduction:
-    """Merge the correct rows and remove two brushes; full artifact."""
-    for _, reduction in _savings_candidates(labeling, w0, seq):
-        return reduction
-    raise InternalInconsistencyError(
-        "no adjacent row or column pair frees two brushes; "
-        "this contradicts the structure of an optimal torus cleaning"
-    )
-
-
-def _savings_candidates(
-    labeling: ProductLabeling, w0: BrushConfig, seq: CleaningSequence
-) -> Iterator[tuple[CorrectRows, TorusReduction]]:
     m, n = labeling.m, labeling.n
     _check_torus_dims(m, n)
     if m < 4 and n < 4:
         raise InvalidParameterError(f"no axis of {m} x {n} can be shortened")
-    g, _ = _torus(m, n)
+    g = FAMILIES["torus"].build(m, n)
     _simulate_or_invalid(g, w0, seq)
     if w0.total != torus_brush_number(m, n):
         raise PreconditionViolationError(
@@ -334,7 +355,11 @@ def _savings_candidates(
                 continue
             reduction = _attempt_reduction(labeling, w0, seq, axis, pair, t, earlier)
             if reduction is not None:
-                yield CorrectRows(axis, pair, t), reduction
+                return reduction
+    raise InternalInconsistencyError(
+        "no adjacent row or column pair frees two brushes; "
+        "this contradicts the structure of an optimal torus cleaning"
+    )
 
 
 def _axis_pair(
@@ -433,7 +458,7 @@ def _attempt_reduction(
             )
             out_removed = vmap(out_removed)
             out_lab = out_lab2
-            out_g, _ = _torus(out_lab.m, out_lab.n)
+            out_g = FAMILIES["torus"].build(out_lab.m, out_lab.n)
         return TorusReduction(
             graph=out_g,
             labeling=out_lab,
@@ -510,7 +535,7 @@ def classify_boundary_pairs(
     """
     m, n = labeling.m, labeling.n
     _check_km_pn_dims(m, n)
-    g, _ = _km_pn(m, n)
+    g = FAMILIES["km-pn"].build(m, n)
     _simulate_or_invalid(g, w0, seq)
     letters = _boundary_letters(labeling, w0, seq)
     counts = {k: letters.count(k) for k in "ABCDEFGH"}
@@ -551,9 +576,11 @@ def delete_clique_layer(
     from the second copy against positive far brushes (C, G) give one
     up.  base_mode selects the two-copy variant that reduces to a bare
     clique and adds the one extra brush the half-way vertex may need;
-    leave it None to infer from n.  The output cleans K_m x P_{n-1}
-    whenever the input cleaning is optimal; verify with can_clean
-    otherwise.
+    leave it None to infer from n.  For even m the output cleans
+    K_m x P_{n-1} whenever the input cleaning is optimal.  For odd m and
+    n >= 3 it does not: on the closed-form cleaning it comes out one
+    brush short of b(K_m x P_{n-1}) (K_5 x P_4 gives 18, and
+    b(K_5 x P_3) = 19).  Verify the output with can_clean.
     """
     m, n = labeling.m, labeling.n
     _check_km_pn_dims(m, n)
@@ -563,7 +590,7 @@ def delete_clique_layer(
         raise InvalidParameterError(
             f"base_mode={base_mode} does not fit n={n}; the base variant is for n=2"
         )
-    g, _ = _km_pn(m, n)
+    g = FAMILIES["km-pn"].build(m, n)
     _simulate_or_invalid(g, w0, seq)
     letters = _boundary_letters(labeling, w0, seq)
 
@@ -588,5 +615,5 @@ def delete_clique_layer(
             x, _ = labeling.pair(halfway)
             counts[new_lab.id(x, 0)] += 1
 
-    new_g, _ = _km_pn(m, n - 1)
+    new_g, _ = cartesian_product(make_clique(m), make_path(n - 1))  # n - 1 may be 1
     return new_g, new_lab, BrushConfig(tuple(counts))

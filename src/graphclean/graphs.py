@@ -155,22 +155,29 @@ def _data_lines(text: str) -> Iterator[tuple[int, str]]:
             yield no, line
 
 
-def parse_edge_list(text: str) -> Graph:
-    """Parse the edge-list format: a "p N" header, then one "u v" line per edge."""
+def _read_header(text: str, tag: str) -> tuple[Iterator[tuple[int, str]], int]:
+    """Check the "<tag> N" header of a text format; return the remaining
+    numbered data lines and N."""
     lines = _data_lines(text)
     try:
         no, header = next(lines)
     except StopIteration:
-        raise ParseError(1, "missing 'p <vertex_count>' header") from None
+        raise ParseError(1, f"missing '{tag} <vertex_count>' header") from None
     parts = header.split()
-    if len(parts) != 2 or parts[0] != "p":
-        raise ParseError(no, f"expected 'p <vertex_count>', got {header!r}")
+    if len(parts) != 2 or parts[0] != tag:
+        raise ParseError(no, f"expected '{tag} <vertex_count>', got {header!r}")
     try:
         vertex_count = int(parts[1])
     except ValueError:
         raise ParseError(no, f"vertex count {parts[1]!r} is not an integer") from None
     if vertex_count < 0:
         raise ParseError(no, f"vertex count must be non-negative, got {vertex_count}")
+    return lines, vertex_count
+
+
+def parse_edge_list(text: str) -> Graph:
+    """Parse the edge-list format: a "p N" header, then one "u v" line per edge."""
+    lines, vertex_count = _read_header(text, "p")
 
     nbrs: list[set[int]] = [set() for _ in range(vertex_count)]
     for no, line in lines:
