@@ -228,6 +228,19 @@ def can_clean(
     return False, frozenset(v for v in range(n) if not cleaned[v])
 
 
+def cleaning_order(
+    g: Graph, w0: BrushConfig, preferred: CleaningSequence
+) -> CleaningSequence | None:
+    """preferred if it cleans g from w0, else can_clean's greedy order,
+    else None when no order cleans."""
+    try:
+        simulate(g, w0, preferred)
+        return preferred
+    except InfeasibleStepError:
+        ok, found = can_clean(g, w0)
+        return found if ok else None  # type: ignore[return-value]
+
+
 def parse_brush_config(text: str) -> BrushConfig:
     """Parse the config format: "b N" header, then "v count" lines."""
     lines, vertex_count = _read_header(text, "b")

@@ -20,6 +20,7 @@ from .cleaning import (
     BrushConfig,
     CleaningSequence,
     can_clean,
+    cleaning_order,
     minimal_config_for_sequence,
     parse_brush_config,
     parse_sequence,
@@ -306,14 +307,7 @@ def _reduce_clique_layer(
             if j >= 1
         )
     )
-    out_seq: CleaningSequence | None = None
-    try:
-        simulate(g2, w2, restricted)
-        out_seq = restricted
-    except InfeasibleStepError:
-        ok, found = can_clean(g2, w2)
-        if ok:
-            out_seq = found  # type: ignore[assignment]
+    out_seq = cleaning_order(g2, w2, restricted)
     print(f"verified={'true' if out_seq is not None else 'false'}")
     if out_seq is None:
         return EXIT_VERIFY_FAILED
@@ -430,22 +424,21 @@ def cmd_report(args: argparse.Namespace) -> int:
     if suite in ("torus", "km-pn", "km-cn"):
         if args.instances:
             instances = _parse_instances(args.instances)
+        elif suite == "km-cn" and not (args.m_range or args.n_range):
+            instances = [(3, 3), (3, 4), (4, 3)]
         else:
             defaults = {
                 "torus": ("3..4", "3..5"),
                 "km-pn": ("2..4", "2..4"),
-                "km-cn": None,
+                "km-cn": ("3..4", "3..4"),
             }[suite]
-            if defaults is None:
-                instances = [(3, 3), (3, 4), (4, 3)]
-            else:
-                m_lo, m_hi = _parse_range(args.m_range or defaults[0])
-                n_lo, n_hi = _parse_range(args.n_range or defaults[1])
-                instances = [
-                    (m, n)
-                    for m in range(m_lo, m_hi + 1)
-                    for n in range(n_lo, n_hi + 1)
-                ]
+            m_lo, m_hi = _parse_range(args.m_range or defaults[0])
+            n_lo, n_hi = _parse_range(args.n_range or defaults[1])
+            instances = [
+                (m, n)
+                for m in range(m_lo, m_hi + 1)
+                for n in range(n_lo, n_hi + 1)
+            ]
         tasks = [
             {"kind": suite, "m": m, "n": n, "cap": cap, "timeout": timeout}
             for m, n in instances

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .cleaning import BrushConfig, CleaningSequence, can_clean, simulate
+from .cleaning import BrushConfig, CleaningSequence, cleaning_order, simulate
 from .errors import (
     InfeasibleStepError,
     InternalInconsistencyError,
@@ -220,22 +220,6 @@ FAMILIES: dict[str, Family] = {
 
 # ------------------------------------------------------- torus row merging
 
-def _relabel(
-    lab_from: ProductLabeling,
-    lab_to: ProductLabeling,
-    coord_map: Callable[[int, int], tuple[int, int]],
-    w0: BrushConfig,
-    seq: CleaningSequence,
-) -> tuple[BrushConfig, CleaningSequence, Callable[[int], int]]:
-    def vmap(v: int) -> int:
-        return lab_to.id(*coord_map(*lab_from.pair(v)))
-
-    counts = [0] * (lab_to.m * lab_to.n)
-    for v, c in enumerate(w0.counts):
-        counts[vmap(v)] = c
-    return BrushConfig(tuple(counts)), CleaningSequence(tuple(vmap(v) for v in seq)), vmap
-
-
 def combine_torus_rows(
     labeling: ProductLabeling,
     w0: BrushConfig,
@@ -254,32 +238,47 @@ def combine_torus_rows(
         raise InvalidParameterError(f"merging rows needs m >= 4, got {m}")
     if not 0 <= row <= m - 2:
         raise InvalidParameterError(f"row must be in 0..{m - 2}, got {row}")
-    g = FAMILIES["torus"].build(m, n)
-    _simulate_or_invalid(g, w0, seq)
+    _simulate_or_invalid(FAMILIES["torus"].build(m, n), w0, seq)
+    return _merge_lines(labeling, w0, seq, "rows", row)[:4]
 
-    new_lab = ProductLabeling(m - 1, n)
 
-    # flat ids past row `row` shift up one row; the simulation above
-    # has checked that every id is in range
-    cut = (row + 1) * n
+def _merge_lines(
+    labeling: ProductLabeling,
+    w0: BrushConfig,
+    seq: CleaningSequence,
+    axis: str,
+    low: int,
+) -> tuple[Graph, ProductLabeling, BrushConfig, CleaningSequence, list[int]]:
+    """Merge line low with the next line along axis ("rows" or "cols"),
+    keeping the input's labelling.
 
-    def vmap(v: int) -> int:
-        return v if v < cut else v - n
-
-    counts = [0] * ((m - 1) * n)
+    Line k maps to (k - (k > low)) % (length - 1), so the wrapped pair
+    (length - 1, 0) folds onto line 0.  Returns the merged torus, its
+    labelling, config and first-occurrence sequence, and the vertex map
+    as a list indexed by input vertex.  The input must already have
+    been simulated, which checks that every id is in range.
+    """
+    m, n = labeling.m, labeling.n
+    if axis == "rows":
+        new_lab = ProductLabeling(m - 1, n)
+        vmap = [(i - (i > low)) % (m - 1) * n + j for i in range(m) for j in range(n)]
+    else:
+        new_lab = ProductLabeling(m, n - 1)
+        vmap = [i * (n - 1) + (j - (j > low)) % (n - 1) for i in range(m) for j in range(n)]
+    counts = [0] * (new_lab.m * new_lab.n)
     for v, c in enumerate(w0.counts):
-        counts[vmap(v)] += c
-    new_g = FAMILIES["torus"].build(m - 1, n)
+        counts[vmap[v]] += c
+    new_g = FAMILIES["torus"].build(new_lab.m, new_lab.n)
     new_w0 = BrushConfig(tuple(counts))
     # dict keys keep each merged vertex at its first position in seq
-    new_seq = CleaningSequence(tuple(dict.fromkeys(vmap(v) for v in seq)))
+    new_seq = CleaningSequence(tuple(dict.fromkeys(vmap[v] for v in seq)))
     try:
         simulate(new_g, new_w0, new_seq)
     except InfeasibleStepError as exc:  # ruled out for valid inputs
         raise InternalInconsistencyError(
             f"merged cleaning failed at vertex {exc.vertex}"
         ) from exc
-    return new_g, new_lab, new_w0, new_seq
+    return new_g, new_lab, new_w0, new_seq, vmap
 
 
 @dataclass(frozen=True)
@@ -330,7 +329,18 @@ def reduce_torus(
     length >= 4 are usable (the merged cycle must keep length >= 3), so
     when the primary pair lies along a length-3 axis the scan continues
     with later deficient vertices, validating each candidate by
-    simulation.  Requires an optimal input cleaning.
+    simulation.  Requires an optimal input cleaning, which is simulated
+    once.
+
+    The merge keeps the input's labelling: a row merge gives
+    C_{m-1} x C_n, a column merge C_m x C_{n-1}, and the wrapped pair
+    (last, 0) folds onto line 0.  Two brushes come off the merged
+    target if it holds six, else off the later-cleaned of the target
+    and each earlier neighbour, else, as a last resort, off any vertex
+    holding two, latest-cleaned first.  The merged order is kept when
+    it still cleans; otherwise can_clean's greedy lowest-id order (in
+    the output labelling) is used.  Both the last-resort candidates and
+    the greedy order are reached on tori with a length-3 axis.
     """
     m, n = labeling.m, labeling.n
     _check_torus_dims(m, n)
@@ -365,17 +375,15 @@ def reduce_torus(
 def _axis_pair(
     labeling: ProductLabeling, t: int, p: int
 ) -> tuple[str, tuple[int, int]]:
+    # t and p are torus neighbours, so they share a row or a column and
+    # their other coordinates are adjacent along that cycle
     ti, tj = labeling.pair(t)
     pi, pj = labeling.pair(p)
     if tj == pj:
         axis, a, b, length = "rows", pi, ti, labeling.m
     else:
         axis, a, b, length = "cols", pj, tj, labeling.n
-    if (a + 1) % length == b:
-        return axis, (a, b)
-    if (b + 1) % length == a:
-        return axis, (b, a)
-    raise InternalInconsistencyError(f"vertices {t} and {p} are not on adjacent lines")
+    return axis, (a, b) if (a + 1) % length == b else (b, a)
 
 
 def _attempt_reduction(
@@ -387,39 +395,16 @@ def _attempt_reduction(
     target: int,
     earlier: list[int],
 ) -> TorusReduction | None:
-    m, n = labeling.m, labeling.n
-    lab, cfg, order = labeling, w0, seq
-    tgt, helpers = target, list(earlier)
-
-    if axis == "cols":
-        lab2 = ProductLabeling(n, m)
-        cfg, order, vmap = _relabel(lab, lab2, lambda i, j: (j, i), cfg, order)
-        tgt, helpers = vmap(tgt), [vmap(u) for u in helpers]
-        lab = lab2
-
-    rows = lab.m
-    low = pair[0]
-    if (low + 1) % rows != pair[1] % rows:
-        raise InternalInconsistencyError("pair is not adjacent along its cycle")
-    if low == rows - 1:  # wrapped pair: rotate so it becomes (0, 1)
-        lab2 = ProductLabeling(rows, lab.n)
-        cfg, order, vmap = _relabel(lab, lab2, lambda i, j: ((i + 1) % rows, j), cfg, order)
-        tgt, helpers = vmap(tgt), [vmap(u) for u in helpers]
-        lab, low = lab2, 0
-
-    merged_g, merged_lab, merged_cfg, merged_seq = combine_torus_rows(lab, cfg, order, low)
-
-    def mmap(v: int) -> int:
-        i, j = lab.pair(v)
-        return merged_lab.id(i if i <= low else i - 1, j)
-
+    merged_g, merged_lab, merged_cfg, merged_seq, vmap = _merge_lines(
+        labeling, w0, seq, axis, pair[0]
+    )
     merged_pos = {v: k for k, v in enumerate(merged_seq.order)}
-    merged_tgt = mmap(tgt)
+    merged_tgt = vmap[target]
     candidates: list[int] = []
     if merged_cfg[merged_tgt] >= 6:
         candidates.append(merged_tgt)
-    for p2 in helpers:
-        mp2 = mmap(p2)
+    for p2 in earlier:
+        mp2 = vmap[p2]
         if mp2 == merged_tgt:
             continue
         later = max(merged_tgt, mp2, key=merged_pos.__getitem__)
@@ -440,34 +425,18 @@ def _attempt_reduction(
         trimmed = BrushConfig(
             tuple(c - 2 if v == cand else c for v, c in enumerate(merged_cfg.counts))
         )
-        out_seq = None
-        try:
-            simulate(merged_g, trimmed, merged_seq)
-            out_seq = merged_seq
-        except InfeasibleStepError:
-            ok, found = can_clean(merged_g, trimmed)
-            if ok:
-                out_seq = found  # type: ignore[assignment]
+        out_seq = cleaning_order(merged_g, trimmed, merged_seq)
         if out_seq is None:
             continue
-        out_g, out_lab, out_cfg, out_removed = merged_g, merged_lab, trimmed, cand
-        if axis == "cols":  # transpose back so dims read (m, n-1)
-            out_lab2 = ProductLabeling(lab.n, merged_lab.m)
-            out_cfg, out_seq, vmap = _relabel(
-                merged_lab, out_lab2, lambda i, j: (j, i), out_cfg, out_seq
-            )
-            out_removed = vmap(out_removed)
-            out_lab = out_lab2
-            out_g = FAMILIES["torus"].build(out_lab.m, out_lab.n)
         return TorusReduction(
-            graph=out_g,
-            labeling=out_lab,
-            config=out_cfg,
+            graph=merged_g,
+            labeling=merged_lab,
+            config=trimmed,
             sequence=out_seq,
             correct=CorrectRows(axis, pair, target),
-            removed_at=out_removed,
+            removed_at=cand,
             total_before=w0.total,
-            total_after=out_cfg.total,
+            total_after=trimmed.total,
         )
     return None
 

@@ -363,6 +363,14 @@ def test_report_km_cn_states_conclusion(capsys):
         assert row in out
 
 
+def test_report_km_cn_reads_ranges(capsys):
+    code, out, _ = run(capsys, "report", "km-cn", "--m-range", "2..2", "--n-range", "3..3")
+    assert code == 0
+    rows = [line for line in out.splitlines() if line.startswith("instance=")]
+    assert len(rows) == 1 and kv(rows[0])["instance"] == "K2xC3"
+    assert "rows=1" in out
+
+
 def test_report_bad_range(capsys):
     code, _, err = run(capsys, "report", "torus", "--m-range", "5..3")
     assert code == 2 and "error:" in err

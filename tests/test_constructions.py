@@ -241,6 +241,39 @@ def test_reduce_reaches_smaller_optimum(m, n, reduced_value):
     assert red.total_after == exact
 
 
+@pytest.mark.parametrize(
+    "m,n,order,axis,pair,removed_at,counts,greedy",
+    [
+        # a spare-brush vertex outside the primary candidates is removed from
+        (3, 4, (0, 8, 9, 3, 11, 1, 2, 10, 6, 5, 4, 7), "cols", (0, 1), 6,
+         (4, 0, 2, 0, 0, 0, 2, 0, 0), False),
+        # the merged order stops cleaning; can_clean supplies one
+        (3, 4, (9, 3, 5, 1, 2, 0, 10, 8, 11, 6, 7, 4), "cols", (2, 3), 4,
+         (0, 0, 4, 0, 0, 0, 0, 4, 0), True),
+        # wrapped rows, folded onto row 0, with can_clean's order
+        (4, 3, (9, 4, 5, 3, 0, 1, 10, 11, 8, 6, 7, 2), "rows", (3, 0), 5,
+         (4, 0, 0, 0, 4, 0, 0, 0, 0), True),
+        # wrapped columns, folded onto column 0
+        (3, 4, (11, 7, 8, 9, 4, 10, 0, 1, 2, 6, 3, 5), "cols", (3, 0), 6,
+         (0, 0, 0, 2, 0, 0, 4, 2, 0), False),
+    ],
+)
+def test_reduce_fallbacks_and_wrapped_pairs(m, n, order, axis, pair, removed_at, counts, greedy):
+    seq = CleaningSequence(order)
+    g, lab = torus(m, n)
+    w0 = minimal_config_for_sequence(g, seq)
+    assert w0.total == torus_brush_number(m, n)
+    red = reduce_torus(lab, w0, seq)
+    assert (red.correct.axis, red.correct.pair) == (axis, pair)
+    assert red.removed_at == removed_at
+    shorter = (m - 1, n) if axis == "rows" else (m, n - 1)
+    assert (red.labeling.m, red.labeling.n) == shorter
+    assert red.config.counts == counts
+    assert simulate(red.graph, red.config, red.sequence).total_brushes == red.total_after
+    if greedy:  # lowest-id greedy order, in the output labelling
+        assert red.sequence == can_clean(red.graph, red.config)[1]
+
+
 def test_find_correct_rows_reports_adjacent_pair():
     g, lab = torus(4, 4)
     w0, seq, _ = dp_cleaning(g)
