@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -128,9 +129,16 @@ def _parse_factor(spec: str) -> tuple[str, Graph]:
     return label.format(k), entry.build(k)
 
 
-def _write(path: Path, text: str) -> None:
-    path.write_text(text)
-    print(f"wrote={path}")
+def _write_cleaning(prefix: str, g: Graph, w0: BrushConfig, seq: CleaningSequence) -> None:
+    """Write a cleaning as prefix.graph, prefix.config and prefix.sequence."""
+    for suffix, text in (
+        (".graph", serialize_edge_list(g)),
+        (".config", serialize_brush_config(w0)),
+        (".sequence", serialize_sequence(seq, g.vertex_count)),
+    ):
+        path = Path(prefix + suffix)
+        path.write_text(text)
+        print(f"wrote={path}")
 
 
 # ------------------------------------------------------------------ gen
@@ -199,9 +207,7 @@ def cmd_config(args: argparse.Namespace) -> int:
     if not verified:
         return EXIT_VERIFY_FAILED
     if args.out_prefix:
-        _write(Path(args.out_prefix + ".graph"), serialize_edge_list(g))
-        _write(Path(args.out_prefix + ".config"), serialize_brush_config(cfg))
-        _write(Path(args.out_prefix + ".sequence"), serialize_sequence(seq, g.vertex_count))
+        _write_cleaning(args.out_prefix, g, cfg, seq)
     return EXIT_OK
 
 
@@ -261,7 +267,6 @@ def _reduce_torus(
         print(f"reduced={cons.FAMILIES['torus'].label.format(lab2.m, lab2.n)}")
         print(f"total_after={w2.total}")
         print("savings=0")
-        out = (g2, w2, s2)
     else:
         red = cons.reduce_torus(lab, w0, seq)
         print(f"axis={red.correct.axis}")
@@ -271,13 +276,10 @@ def _reduce_torus(
         print(f"reduced={cons.FAMILIES['torus'].label.format(red.labeling.m, red.labeling.n)}")
         print(f"total_after={red.total_after}")
         print(f"savings={red.total_before - red.total_after}")
-        out = (red.graph, red.config, red.sequence)
+        g2, w2, s2 = red.graph, red.config, red.sequence
     print("verified=true")  # both paths simulate before returning
     if args.out_prefix:
-        g2, w2, s2 = out
-        _write(Path(args.out_prefix + ".graph"), serialize_edge_list(g2))
-        _write(Path(args.out_prefix + ".config"), serialize_brush_config(w2))
-        _write(Path(args.out_prefix + ".sequence"), serialize_sequence(s2, g2.vertex_count))
+        _write_cleaning(args.out_prefix, g2, w2, s2)
     return EXIT_OK
 
 
@@ -312,73 +314,29 @@ def _reduce_clique_layer(
     if out_seq is None:
         return EXIT_VERIFY_FAILED
     if args.out_prefix:
-        _write(Path(args.out_prefix + ".graph"), serialize_edge_list(g2))
-        _write(Path(args.out_prefix + ".config"), serialize_brush_config(w2))
-        _write(Path(args.out_prefix + ".sequence"), serialize_sequence(out_seq, g2.vertex_count))
+        _write_cleaning(args.out_prefix, g2, w2, out_seq)
     return EXIT_OK
 
 
 # --------------------------------------------------------------- report
 
-def _report_worker(task: dict) -> dict:
-    kind, cap = task["kind"], task["cap"]
-    if kind == "box":
-        label, h = _parse_factor(task["factor"])
-        report = check_box_conjecture(h, task["order"], max_vertices=cap)
-        return {
-            "order": str(task["order"]),
-            "factor": label,
-            "path": str(report.path_value),
-            "clique": str(report.clique_value),
-            "min": str(report.min_value),
-            "max": str(report.max_value),
-            "graphs": str(report.graphs_checked),
-            "connected": str(report.connected_checked),
-            "violations": str(len(report.violations)),
-            "match": "yes" if report.holds else "no",
-        }
-    entry, m, n = cons.FAMILIES[kind], task["m"], task["n"]
-    g, label = entry.build(m, n), entry.label.format(m, n)
-    if kind == "km-cn":
-        fixed = m * m // 4 + 2
-        scaled = n * (m * m // 4) + 2
-        if g.vertex_count > cap:
-            return {
-                "instance": label,
-                "solver": "-",
-                "fixed": str(fixed),
-                "scaled": str(scaled),
-                "verdict": "skipped",
-                "seconds": "-",
-            }
-        res = brush_number_dp(g, max_vertices=cap)
-        if res.value == fixed and res.value == scaled:
-            verdict = "both"
-        elif res.value == fixed:
-            verdict = "fixed"
-        elif res.value == scaled:
-            verdict = "scaled"
-        else:
-            verdict = "neither"
-        return {
-            "instance": label,
-            "solver": str(res.value),
-            "fixed": str(fixed),
-            "scaled": str(scaled),
-            "verdict": verdict,
-            "seconds": f"{res.seconds:.3f}",
-        }
-    formula = entry.formula(m, n)
+# Each row function returns one table row; its key order is the suite's
+# column order.
+
+def _family_row(kind: str, m: int, n: int, cap: int, timeout: float) -> dict[str, str]:
+    """A torus or km-pn row: the closed form against the DP, or BnB over the cap."""
+    entry = cons.FAMILIES[kind]
+    g, formula = entry.build(m, n), entry.formula(m, n)
     if g.vertex_count <= cap:
         res = brush_number_dp(g, max_vertices=cap)
     else:
-        res = brush_number_bnb(g, timeout=task["timeout"])
+        res = brush_number_bnb(g, timeout=timeout)
     if not res.complete:
         match = "incomplete"
     else:
         match = "yes" if res.value == formula else "no"
     return {
-        "instance": label,
+        "instance": entry.label.format(m, n),
         "formula": str(formula),
         "solver": str(res.value),
         "match": match,
@@ -388,30 +346,55 @@ def _report_worker(task: dict) -> dict:
     }
 
 
-_REPORT_COLUMNS = {
-    "torus": ("instance", "formula", "solver", "match", "method", "states", "seconds"),
-    "km-pn": ("instance", "formula", "solver", "match", "method", "states", "seconds"),
-    "km-cn": ("instance", "solver", "fixed", "scaled", "verdict", "seconds"),
-    "box": (
-        "order",
-        "factor",
-        "path",
-        "clique",
-        "min",
-        "max",
-        "graphs",
-        "connected",
-        "violations",
-        "match",
-    ),
-}
+def _km_cn_row(m: int, n: int, cap: int) -> dict[str, str]:
+    """A km-cn row: the DP value against two candidate formulas; skipped over the cap."""
+    entry = cons.FAMILIES["km-cn"]
+    g = entry.build(m, n)
+    fixed = m * m // 4 + 2
+    scaled = n * (m * m // 4) + 2
+    row = {
+        "instance": entry.label.format(m, n),
+        "solver": "-",
+        "fixed": str(fixed),
+        "scaled": str(scaled),
+        "verdict": "skipped",
+        "seconds": "-",
+    }
+    if g.vertex_count <= cap:
+        res = brush_number_dp(g, max_vertices=cap)
+        if res.value == fixed and res.value == scaled:
+            verdict = "both"
+        elif res.value == fixed:
+            verdict = "fixed"
+        elif res.value == scaled:
+            verdict = "scaled"
+        else:
+            verdict = "neither"
+        row.update(solver=str(res.value), verdict=verdict, seconds=f"{res.seconds:.3f}")
+    return row
 
 
-def _render_table(columns: tuple[str, ...], rows: list[dict]) -> str:
-    widths = [
-        max(len(col), *(len(r[col]) for r in rows)) if rows else len(col)
-        for col in columns
-    ]
+def _box_row(order: int, factor: str, cap: int) -> dict[str, str]:
+    """The box row: every connected left factor of the order against the sandwich."""
+    label, h = _parse_factor(factor)
+    report = check_box_conjecture(h, order, max_vertices=cap)
+    return {
+        "order": str(order),
+        "factor": label,
+        "path": str(report.path_value),
+        "clique": str(report.clique_value),
+        "min": str(report.min_value),
+        "max": str(report.max_value),
+        "graphs": str(report.graphs_checked),
+        "connected": str(report.connected_checked),
+        "violations": str(len(report.violations)),
+        "match": "yes" if report.holds else "no",
+    }
+
+
+def _render_table(rows: list[dict[str, str]]) -> str:
+    columns = list(rows[0])  # never empty: ranges and instance lists are checked non-empty
+    widths = [max(len(col), *(len(r[col]) for r in rows)) for col in columns]
     lines = ["  ".join(col.ljust(w) for col, w in zip(columns, widths)).rstrip()]
     for r in rows:
         lines.append("  ".join(r[col].ljust(w) for col, w in zip(columns, widths)).rstrip())
@@ -420,8 +403,12 @@ def _render_table(columns: tuple[str, ...], rows: list[dict]) -> str:
 
 def cmd_report(args: argparse.Namespace) -> int:
     suite = args.suite
-    cap, timeout = args.max_dp_vertices, args.timeout
-    if suite in ("torus", "km-pn", "km-cn"):
+    cap = args.max_dp_vertices
+    if suite == "box":
+        if not args.factor:
+            raise InvalidParameterError("box suite needs --factor (e.g. P2, C3)")
+        tasks = [partial(_box_row, args.order, args.factor, cap)]
+    else:
         if args.instances:
             instances = _parse_instances(args.instances)
         elif suite == "km-cn" and not (args.m_range or args.n_range):
@@ -439,37 +426,24 @@ def cmd_report(args: argparse.Namespace) -> int:
                 for m in range(m_lo, m_hi + 1)
                 for n in range(n_lo, n_hi + 1)
             ]
-        tasks = [
-            {"kind": suite, "m": m, "n": n, "cap": cap, "timeout": timeout}
-            for m, n in instances
-        ]
-    else:
-        if not args.factor:
-            raise InvalidParameterError("box suite needs --factor (e.g. P2, C3)")
-        tasks = [
-            {
-                "kind": "box",
-                "order": args.order,
-                "factor": args.factor,
-                "cap": cap,
-                "timeout": timeout,
-            }
-        ]
+        if suite == "km-cn":
+            tasks = [partial(_km_cn_row, m, n, cap) for m, n in instances]
+        else:
+            tasks = [partial(_family_row, suite, m, n, cap, args.timeout) for m, n in instances]
 
     if args.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_report_worker, tasks))
+            rows = [future.result() for future in [pool.submit(t) for t in tasks]]
     else:
-        rows = [_report_worker(t) for t in tasks]
+        rows = [t() for t in tasks]
 
-    columns = _REPORT_COLUMNS[suite]
     print(f"suite={suite}")
-    print(_render_table(columns, rows))
+    print(_render_table(rows))
     print()
     for r in rows:
-        print(" ".join(f"{col}={r[col]}" for col in columns))
+        print(" ".join(f"{col}={value}" for col, value in r.items()))
     mismatches = sum(1 for r in rows if r.get("match") == "no")
-    skipped = sum(1 for r in rows if "skipped" in (r.get("match"), r.get("verdict")))
+    skipped = sum(1 for r in rows if r.get("verdict") == "skipped")
     incomplete = sum(1 for r in rows if r.get("match") == "incomplete")
     summary = f"summary suite={suite} rows={len(rows)} mismatches={mismatches} skipped={skipped} incomplete={incomplete}"
     if suite == "km-cn":

@@ -16,7 +16,6 @@ from .cleaning import BrushConfig, CleaningSequence, cleaning_order, simulate
 from .errors import (
     InfeasibleStepError,
     InternalInconsistencyError,
-    InvalidClassificationError,
     InvalidInputError,
     InvalidParameterError,
     PreconditionViolationError,
@@ -536,29 +535,21 @@ def delete_clique_layer(
     labeling: ProductLabeling,
     w0: BrushConfig,
     seq: CleaningSequence,
-    base_mode: bool | None = None,
 ) -> tuple[Graph, ProductLabeling, BrushConfig]:
     """Remove clique copy 0 and compensate copy 1 per its pair classes.
 
     Pairs whose first-copy vertex cleans first and whose classes mark
     both ends (A) or the far end only (E) gain one brush; pairs cleaned
     from the second copy against positive far brushes (C, G) give one
-    up.  base_mode selects the two-copy variant that reduces to a bare
-    clique and adds the one extra brush the half-way vertex may need;
-    leave it None to infer from n.  For even m the output cleans
-    K_m x P_{n-1} whenever the input cleaning is optimal.  For odd m and
-    n >= 3 it does not: on the closed-form cleaning it comes out one
-    brush short of b(K_m x P_{n-1}) (K_5 x P_4 gives 18, and
-    b(K_5 x P_3) = 19).  Verify the output with can_clean.
+    up.  For n = 2 the output is a bare clique, and for even m it gains
+    the one extra brush the half-way vertex may need.  For even m the
+    output cleans K_m x P_{n-1} whenever the input cleaning is optimal.
+    For odd m and n >= 3 it does not: on the closed-form cleaning it
+    comes out one brush short of b(K_m x P_{n-1}) (K_5 x P_4 gives 18,
+    and b(K_5 x P_3) = 19).  Verify the output with can_clean.
     """
     m, n = labeling.m, labeling.n
     _check_km_pn_dims(m, n)
-    if base_mode is None:
-        base_mode = n == 2
-    if base_mode != (n == 2):
-        raise InvalidParameterError(
-            f"base_mode={base_mode} does not fit n={n}; the base variant is for n=2"
-        )
     g = FAMILIES["km-pn"].build(m, n)
     _simulate_or_invalid(g, w0, seq)
     letters = _boundary_letters(labeling, w0, seq)
@@ -568,15 +559,11 @@ def delete_clique_layer(
     for x in range(m):
         for j in range(1, n):
             c = w0[labeling.id(x, j)]
-            if j == 1:
+            if j == 1:  # C and G subtract only where w0[id(x, 1)] > 0, so c >= 0
                 c += _CLASS_ADJUST.get(letters[x], 0)
-            if c < 0:
-                raise InvalidClassificationError(
-                    f"pair {x} (class {letters[x]}) would drop below zero brushes"
-                )
             counts[new_lab.id(x, j - 1)] = c
 
-    if base_mode and m % 2 == 0:
+    if n == 2 and m % 2 == 0:
         pos = {v: k for k, v in enumerate(seq.order)}
         second_copy = sorted((labeling.id(x, 1) for x in range(m)), key=pos.__getitem__)
         halfway = second_copy[m // 2 - 1]

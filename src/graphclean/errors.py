@@ -81,9 +81,5 @@ class PreconditionViolationError(GraphCleanError, ValueError):
     exit_code = 2
 
 
-class InvalidClassificationError(GraphCleanError):
-    """Boundary-pair adjustments drove a brush count negative."""
-
-
 class InternalInconsistencyError(GraphCleanError):
     """A state the construction rules out was reached; diagnostic, not a crash."""

@@ -374,3 +374,54 @@ def test_report_km_cn_reads_ranges(capsys):
 def test_report_bad_range(capsys):
     code, _, err = run(capsys, "report", "torus", "--m-range", "5..3")
     assert code == 2 and "error:" in err
+
+
+FAMILY_COLUMNS = ["instance", "formula", "solver", "match", "method", "states", "seconds"]
+
+
+@pytest.mark.parametrize(
+    "argv, columns",
+    [
+        (["torus", "--instances", "3x3"], FAMILY_COLUMNS),
+        (["km-pn", "--instances", "2x2"], FAMILY_COLUMNS),
+        (
+            ["km-cn", "--instances", "2x3"],
+            ["instance", "solver", "fixed", "scaled", "verdict", "seconds"],
+        ),
+        (
+            ["box", "--order", "3", "--factor", "P2"],
+            [
+                "order", "factor", "path", "clique", "min", "max",
+                "graphs", "connected", "violations", "match",
+            ],
+        ),
+    ],
+    ids=["torus", "km-pn", "km-cn", "box"],
+)
+def test_report_column_order(capsys, argv, columns):
+    code, out, _ = run(capsys, "report", *argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == f"suite={argv[0]}"
+    assert lines[1].split() == columns
+    rows = [line for line in lines if line.startswith(f"{columns[0]}=")]
+    assert len(rows) == 1
+    assert [token.split("=", 1)[0] for token in rows[0].split()] == columns
+
+
+def test_report_km_cn_skips_over_cap(capsys):
+    code, out, _ = run(
+        capsys, "report", "km-cn", "--instances", "3x3,5x5", "--max-dp-vertices", "16"
+    )
+    assert code == 0
+    row = next(line for line in out.splitlines() if line.startswith("instance=K5xC5"))
+    assert "solver=- " in row and "verdict=skipped seconds=-" in row
+    summary = out.splitlines()[-1]
+    assert "rows=2" in summary and "skipped=1" in summary and summary.endswith("conclusion=scaled")
+
+
+def test_report_torus_falls_back_to_bnb(capsys):
+    code, out, _ = run(capsys, "report", "torus", "--instances", "3x3", "--max-dp-vertices", "8")
+    assert code == 0
+    assert "match=yes method=bnb" in out
+    assert "skipped=0" in out

@@ -361,12 +361,6 @@ def test_delete_layer_base_mode():
     assert ok
 
 
-def test_delete_layer_base_mode_mismatch():
-    lab = ProductLabeling(4, 3)
-    with pytest.raises(InvalidParameterError):
-        delete_clique_layer(lab, km_pn_config(4, 3), km_pn_sequence(4, 3), base_mode=True)
-
-
 def test_odd_config_matches_dp_value():
     for m, n in ((3, 2), (3, 3), (5, 2)):
         g, _ = clique_path(m, n)
