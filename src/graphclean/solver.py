@@ -6,8 +6,13 @@ solvers search the space of vertex orders.  The subset DP uses
 
     f(S) = min over v in S of f(S - v) + max(0, deg(v) - 2*|N(v) & (S - v)|)
 
-with f(empty) = 0; f(V) is the answer.  The branch-and-bound explores
-prefixes directly and is useful past the DP's memory reach.
+with f(empty) = 0, the cheapest cost of cleaning S first.  An order and
+its reverse cost the same, so the cheapest order that cleans S first
+costs f(S) + f(V - S) - e(S, V - S): S in its cheapest order, then the
+reverse of V - S's.  The DP fills f only up to ceil(n/2) vertices and
+takes the minimum of that sum over the sets of floor(n/2) vertices.
+The branch-and-bound explores prefixes directly and is useful past the
+DP's memory reach.
 """
 
 from __future__ import annotations
@@ -33,11 +38,12 @@ from .graphs import (
 )
 
 DEFAULT_DP_CAP = 22
-# Peak bytes per subset state in brush_number_dp, reached while the layer
-# order is sorted: the uint8 popcount (1), argsort's int64 result (8) and
-# the sort's own int64 buffer (8).  The int32 order (4) and table f (4)
-# replace the int64 arrays once the sort is done.
-DP_BYTES_PER_STATE = 17
+# Peak bytes per subset state in brush_number_dp, traced at 16 vertices
+# (10.1): the uint8 popcount (1) and int16 table f (2) span every subset;
+# the rest is one pass over the widest layer, a fifth of the subsets at
+# about 36 bytes a set for its int32 masks, running minimum, gathers and
+# temporaries.  That layer's share shrinks as n grows (9.2 at 20).
+DP_BYTES_PER_STATE = 11
 
 _INF = 1 << 28
 
@@ -65,16 +71,49 @@ def parity_lower_bound(g: Graph) -> int:
     return (odd + 1) // 2
 
 
+def _members(sets: np.ndarray, k: int):
+    """k passes over bitmasks of k members each; pass i yields every
+    set's i-th lowest member v, as the bit 1 << v and as v."""
+    t = sets.copy()
+    for _ in range(k):
+        low = t & -t
+        t ^= low
+        yield low, np.bitwise_count(low - 1)
+
+
+def _walk_back(f: np.ndarray, s: int, masks: list[int], degs: list[int]) -> list[int]:
+    """An order of s's vertices that costs f[s], last vertex first; each
+    step takes off the lowest vertex id that the table accounts for."""
+    seq = []
+    while s:
+        here = int(f[s])
+        for v in range(len(masks)):
+            prev_s = s ^ 1 << v
+            step = degs[v] - 2 * (masks[v] & prev_s).bit_count()
+            if s >> v & 1 and here == int(f[prev_s]) + max(0, step):
+                seq.append(v)
+                s = prev_s
+                break
+        else:
+            raise InternalInconsistencyError("DP table admits no predecessor")
+    return seq
+
+
 def brush_number_dp(
     g: Graph,
     *,
     max_vertices: int = DEFAULT_DP_CAP,
     memory_limit_mb: int = 1024,
 ) -> SolveResult:
-    """Exact brush number by subset DP with a reconstructed witness.
+    """Exact brush number by half-depth subset DP with a reconstructed witness.
 
-    Memory grows as 2^|V|; instances above max_vertices are refused.
-    Witness reconstruction breaks ties toward the lowest vertex id.
+    f is filled only on sets of at most ceil(n/2) vertices, and the
+    answer is the minimum over sets S of floor(n/2) vertices of
+    f(S) + f(V - S) - cut(S), the lowest such mask winning a tie.  The
+    witness is S's order followed by the reverse of V - S's order, each
+    rebuilt from the table breaking ties toward the lowest vertex id.
+    Memory grows as 2^|V| (about DP_BYTES_PER_STATE bytes per subset);
+    instances above max_vertices or memory_limit_mb are refused.
     """
     n = g.vertex_count
     if n > max_vertices:
@@ -85,49 +124,39 @@ def brush_number_dp(
             f"DP on {n} vertices needs about {est_mb} MB, limit is {memory_limit_mb} MB"
         )
     start = time.perf_counter()
-    if n == 0:
-        return SolveResult(0, CleaningSequence(()), "dp", 1, time.perf_counter() - start)
-
     masks, degs = _adjacency_masks(g)
+    marr = np.array(masks, dtype=np.int32)
+    darr = np.array(degs, dtype=np.int16)
     size = 1 << n
+    half = n // 2
     popcnt = np.bitwise_count(np.arange(size, dtype=np.int32))
-    # a stable argsort of uint8 keys is a radix sort
-    order = np.argsort(popcnt, kind="stable").astype(np.int32)
-    bounds = np.searchsorted(popcnt[order], np.arange(n + 2))
+    # f(S) <= sum of degrees < 2^15 and 2*|N(v) & S| < 2^8 fit the int16
+    # table and uint8 counts; sets above ceil(n/2) are never written
+    f = np.empty(size, dtype=np.int16)
+    f[0] = 0
+    for k in range(1, n - half + 1):
+        layer = np.flatnonzero(popcnt == k).astype(np.int32)
+        best = np.full(layer.size, np.iinfo(np.int16).max, dtype=np.int16)
+        for low, v in _members(layer, k):
+            # N(v) misses v, so N(v) & (S - v) = N(v) & S; np.take
+            # gathers faster than indexing with a non-intp index
+            cost = np.take(darr, v) - 2 * np.bitwise_count(layer & np.take(marr, v))
+            np.maximum(cost, 0, out=cost)
+            cost += np.take(f, layer ^ low)
+            np.minimum(best, cost, out=best)
+        f[layer] = best
+    halves = np.flatnonzero(popcnt == half).astype(np.int32)
     del popcnt
 
-    f = np.full(size, _INF, dtype=np.int32)
-    f[0] = 0
-    for k in range(1, n + 1):
-        layer = order[bounds[k] : bounds[k + 1]]
-        for v in range(n):
-            bit = 1 << v
-            mine = layer[(layer & bit) != 0]
-            if mine.size == 0:
-                continue
-            prev = mine ^ bit
-            inter = prev & masks[v]
-            # counts are below 32: a signed view keeps deg - 2*count from
-            # wrapping, as it would in uint8
-            cost = degs[v] - 2 * np.bitwise_count(inter).view(np.int8)
-            np.maximum(cost, 0, out=cost)
-            f[mine] = np.minimum(f[mine], f[prev] + cost)
-
-    value = int(f[size - 1])
-    seq = [0] * n
-    s = size - 1
-    for pos in range(n - 1, -1, -1):
-        here = int(f[s])
-        for v in range(n):
-            if s >> v & 1:
-                prev_s = s ^ (1 << v)
-                step = degs[v] - 2 * (masks[v] & prev_s).bit_count()
-                if here == int(f[prev_s]) + max(0, step):
-                    seq[pos] = v
-                    s = prev_s
-                    break
-        else:
-            raise InternalInconsistencyError("DP table admits no predecessor")
+    # cut(S) = sum over v in S of deg(v) - |N(v) & S|
+    cut = np.zeros(halves.size, dtype=np.int16)
+    for _, v in _members(halves, half):
+        cut += np.take(darr, v) - np.bitwise_count(halves & np.take(marr, v))
+    total = np.take(f, halves) + np.take(f, (size - 1) ^ halves) - cut
+    pick = int(np.argmin(total))
+    value = int(total[pick])
+    s = int(halves[pick])
+    seq = _walk_back(f, s, masks, degs)[::-1] + _walk_back(f, (size - 1) ^ s, masks, degs)
     return SolveResult(
         value, CleaningSequence(tuple(seq)), "dp", size, time.perf_counter() - start
     )

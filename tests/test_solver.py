@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from graphclean import (
     BoxConjectureReport,
+    CleaningSequence,
     InvalidParameterError,
     ResourceLimitError,
     TooLargeError,
@@ -33,6 +34,7 @@ from graphclean import (
     simulate,
 )
 from graphclean import solver
+from graphclean.constructions import FAMILIES
 
 SOLVERS = {
     "dp": brush_number_dp,
@@ -143,10 +145,64 @@ def test_isolated_vertex_is_free(g):
 
 
 def test_witness_deterministic():
-    # reconstruction walks back from the full set taking the lowest id,
-    # so a symmetric graph gets the descending order, every run
-    g = make_cycle(5)
-    assert brush_number_dp(g).witness.order == (4, 3, 2, 1, 0)
+    # the DP splits off S, the lowest mask of floor(n/2) vertices with the
+    # least f(S) + f(V - S) - cut(S); each half is walked back from its
+    # full set, removing the lowest vertex id the table allows, and the
+    # witness is S's order followed by the reverse of V - S's order
+    assert brush_number_dp(make_cycle(5)).witness.order == (1, 0, 2, 3, 4)
+    assert brush_number_dp(make_cycle(6)).witness.order == (2, 1, 0, 3, 4, 5)
+
+
+# ------------------------------------------------ the reversal identity
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_reversed_order_costs_the_same(data):
+    # the half-depth DP rests on this: reversing an order swaps in- and
+    # out-degrees, and sum(max(0, out - in)) = sum(max(0, in - out))
+    g = data.draw(graphs(max_vertices=10))
+    order = tuple(data.draw(st.permutations(range(g.vertex_count))))
+    forward = minimal_config_for_sequence(g, CleaningSequence(order)).total
+    backward = minimal_config_for_sequence(g, CleaningSequence(order[::-1])).total
+    assert forward == backward
+
+
+def full_subset_dp(g):
+    """f(V) of the subset DP with every layer filled, no reversal."""
+    n = g.vertex_count
+    nbrs = [sum(1 << u for u in g.adjacency[v]) for v in range(n)]
+    f = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        f[s] = min(
+            f[s ^ 1 << v] + max(0, g.degree(v) - 2 * (nbrs[v] & s).bit_count())
+            for v in range(n)
+            if s >> v & 1
+        )
+    return f[-1]
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_dp_matches_full_table_dp(n):
+    rng = random.Random(n)
+    for p in (0.2, 0.5, 0.8):
+        g = random_graph(rng, n, p)
+        # every vertex id divisible by 3 isolated, vertex 0 included
+        sparse = graph_from_edges(n, [(u, w) for u, w in g.edges() if u % 3 and w % 3])
+        for h in (g, sparse):
+            assert brush_number_dp(h).value == full_subset_dp(h)
+
+
+PRODUCTS_15_TO_20 = [
+    ("torus", m, n) for m, n in [(3, 5), (4, 4), (3, 6), (4, 5)]
+] + [("km-pn", m, n) for m, n in [(3, 5), (5, 3), (4, 4), (3, 6), (6, 3), (4, 5), (5, 4)]]
+
+
+@pytest.mark.parametrize("family, m, n", PRODUCTS_15_TO_20)
+def test_witness_rescores_on_products(family, m, n):
+    g = FAMILIES[family].build(m, n)
+    result = brush_number_dp(g)
+    assert result.value == FAMILIES[family].formula(m, n)
+    assert minimal_config_for_sequence(g, result.witness).total == result.value
 
 
 # ------------------------------------------------------------ size guards
