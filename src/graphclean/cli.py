@@ -92,10 +92,10 @@ def _family(family: str, params: list[str]) -> tuple[cons.Family, list[int], Gra
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    sep = ".." if ".." in text else ":"
-    parts = text.split(sep)
+    parts = text.split(".." if ".." in text else ":")
     try:
-        lo, hi = (int(parts[0]), int(parts[1])) if len(parts) == 2 else (int(parts[0]),) * 2
+        # a lone number is a one-value range; three or more fields fail to unpack
+        lo, hi = map(int, parts * 2 if len(parts) == 1 else parts)
     except ValueError:
         raise InvalidParameterError(f"bad range {text!r}, expected A..B") from None
     if lo > hi:

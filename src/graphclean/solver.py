@@ -38,6 +38,9 @@ from .graphs import (
 )
 
 DEFAULT_DP_CAP = 22
+# Vertex sets the branch-and-bound's dominance table holds; sets met
+# once it is full are searched but not recorded.
+BNB_MEMO_ENTRIES = 1_500_000
 # Peak bytes per subset state in brush_number_dp, traced at 16 vertices
 # (10.1): the uint8 popcount (1) and int16 table f (2) span every subset;
 # the rest is one pass over the widest layer, a fifth of the subsets at
@@ -185,70 +188,66 @@ def brush_number_bnb(
     upper_hint: int | None = None,
     *,
     timeout: float | None = 60.0,
-    memo_limit: int = 1_500_000,
 ) -> SolveResult:
-    """Branch-and-bound over cleaning prefixes.
+    """Branch-and-bound over cleaning prefixes, as one loop over an explicit stack.
 
-    Branches on the next-cleaned vertex, cheapest marginal cost first.
-    A prefix is cut when its cost plus a parity bound on the remainder
-    cannot beat the incumbent; a dominance table prunes re-visited
-    vertex sets.  upper_hint, when given, caps the search: only orders
-    costing at most upper_hint are explored.  A search that ends with
-    nothing that cheap proves the hint was below b(G), and, like a
-    timeout, returns the best sequence found with complete=False.
+    Branches on the next-cleaned vertex, cheapest marginal cost first:
+    each node's children are pushed most expensive first.  A popped
+    prefix is cut when its cost plus a parity bound on the remainder
+    cannot beat the incumbent, or when a dominance table of up to
+    BNB_MEMO_ENTRIES vertex sets has reached its set as cheaply.
+    upper_hint, when given, caps the search: only orders costing at most
+    upper_hint are explored.  A search that ends with nothing that cheap
+    proves the hint was below b(G), and, like a timeout, returns the
+    best sequence found with complete=False.
     """
     n = g.vertex_count
     start = time.perf_counter()
     deadline = None if timeout is None else time.monotonic() + timeout
     masks, degs = _adjacency_masks(g)
     best_seq, best_cost = _greedy_order(n, masks, degs)
+    cap = best_cost if upper_hint is None else min(best_cost, upper_hint + 1)
     full = (1 << n) - 1
-    odd_total = sum(d % 2 for d in degs)
     memo: dict[int, int] = {}
-    path: list[int] = []
+    # a popped entry's parent is the last entry popped one level up, so
+    # path[:depth] and sets[depth] hold the popped prefix's order and set
+    path = [0] * n
+    sets = [0] * (n + 1)
+    # (cost, last vertex, odd-degree vertices left minus cut edges, depth)
+    stack = [(0, 0, sum(d % 2 for d in degs), 0)]
     states = 0
     timed_out = False
-
-    def dfs(mask: int, cost: int, odd_rem: int, boundary: int) -> None:
-        nonlocal best_cost, best_seq, states, timed_out
+    while stack:
+        cost, v, deficit, depth = stack.pop()
         states += 1
         if deadline is not None and states % 256 == 0 and time.monotonic() > deadline:
             timed_out = True
-            return
+            break
+        if depth:
+            path[depth - 1] = v
+            sets[depth] = sets[depth - 1] | 1 << v
+        mask = sets[depth]
         if mask == full:
             if cost < best_cost:
                 best_cost, best_seq = cost, tuple(path)
-            return
+                cap = min(cap, cost)
+            continue
         seen = memo.get(mask)
         if seen is not None and seen <= cost:
-            return
-        if seen is not None or len(memo) < memo_limit:
+            continue
+        if seen is not None or len(memo) < BNB_MEMO_ENTRIES:
             memo[mask] = cost
-        lb = (odd_rem - boundary + 1) // 2
-        projection = cost + (lb if lb > 0 else 0)
-        cap = best_cost if upper_hint is None else min(best_cost, upper_hint + 1)
-        if projection >= cap:
-            return
+        lb = (deficit + 1) // 2
+        if cost + (lb if lb > 0 else 0) >= cap:
+            continue
         children = []
-        for v in range(n):
-            if not mask >> v & 1:
-                inside = (masks[v] & mask).bit_count()
-                marg = degs[v] - 2 * inside
-                children.append((marg if marg > 0 else 0, v, inside))
-        children.sort()
-        for marg, v, inside in children:
-            path.append(v)
-            dfs(
-                mask | (1 << v),
-                cost + marg,
-                odd_rem - (degs[v] & 1),
-                boundary + degs[v] - 2 * inside,
-            )
-            path.pop()
-            if timed_out:
-                return
-
-    dfs(0, 0, odd_total, 0)
+        for u in range(n):
+            if not mask >> u & 1:
+                marg = degs[u] - 2 * (masks[u] & mask).bit_count()
+                child_cost = cost + marg if marg > 0 else cost
+                children.append((child_cost, u, deficit - (degs[u] & 1) - marg, depth + 1))
+        children.sort(reverse=True)
+        stack += children
     return SolveResult(
         best_cost,
         CleaningSequence(best_seq),

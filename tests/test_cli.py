@@ -15,6 +15,7 @@ from graphclean import (
     serialize_edge_list,
     serialize_sequence,
 )
+from graphclean import cli
 from graphclean.cli import main
 
 
@@ -138,14 +139,25 @@ def test_solve_missing_file(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
-def test_solve_crash_exits_internal_error(tmp_path, capsys):
-    # the recursive branch-and-bound overruns the interpreter's recursion
-    # limit on 1200 vertices; a crash must not read as "infeasible" (1)
+def test_solve_bnb_stops_at_budget(tmp_path, capsys):
+    # 1200 vertices: the branch-and-bound runs to its timeout, not to a
+    # recursion limit, and reports the incumbent as incomplete
     path = tmp_path / "k3p400.graph"
     assert run(capsys, "gen", "km-pn", "3", "400", "-o", str(path))[0] == 0
-    code, _, err = run(capsys, "solve", str(path), "--method", "bnb")
+    code, out, _ = run(capsys, "solve", str(path), "--method", "bnb", "--timeout", "1")
+    assert code == 4
+    assert kv(out)["complete"] == "false"
+
+
+def test_crash_exits_internal_error(monkeypatch, capsys):
+    # a crash must not read as "infeasible" (1)
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_solve", crash)
+    code, _, err = run(capsys, "solve", "any.graph")
     assert code == 5
-    assert err.startswith("error: internal: RecursionError: ")
+    assert err.startswith("error: internal: RuntimeError: boom")
 
 
 # --------------------------------------------------------------- config
@@ -374,6 +386,21 @@ def test_report_km_cn_reads_ranges(capsys):
 def test_report_bad_range(capsys):
     code, _, err = run(capsys, "report", "torus", "--m-range", "5..3")
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "m_range, n_range", [("3..4..9", "3..3"), ("3..3", "3:3:7"), ("3..4..9", "3:3:7")]
+)
+def test_report_range_with_three_fields(capsys, m_range, n_range):
+    code, out, err = run(capsys, "report", "torus", "--m-range", m_range, "--n-range", n_range)
+    assert code == 2 and out == ""
+    assert "bad range" in err and "expected A..B" in err
+
+
+def test_report_single_number_range(capsys):
+    code, out, _ = run(capsys, "report", "torus", "--m-range", "3", "--n-range", "3:4")
+    assert code == 0
+    assert "C3xC3" in out and "C3xC4" in out and "C4x" not in out
 
 
 FAMILY_COLUMNS = ["instance", "formula", "solver", "match", "method", "states", "seconds"]

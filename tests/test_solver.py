@@ -262,6 +262,61 @@ def test_bnb_hint_below_optimum_is_incomplete():
     assert exact.complete and exact.value == 7
 
 
+# exact node counts and witnesses of the search, which visits children
+# cheapest marginal cost first, ties to the lower vertex id; any other
+# visiting order changes them
+BNB_PINS = [
+    pytest.param(
+        cartesian_product(make_cycle(3), make_cycle(5))[0], None,
+        12, 12286, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14), True, id="C3xC5",
+    ),
+    pytest.param(
+        cartesian_product(make_clique(3), make_path(5))[0], None,
+        11, 20134, (0, 5, 10, 1, 6, 11, 2, 7, 12, 3, 8, 13, 4, 9, 14), True, id="K3xP5",
+    ),
+    pytest.param(
+        random_graph(random.Random(7), 12, 0.4), None,
+        11, 1560, (9, 11, 4, 0, 3, 7, 8, 2, 5, 1, 6, 10), True, id="gnp-12-seed7",
+    ),
+    pytest.param(
+        graph_from_edges(10, BAD_HINT_EDGES), 6,
+        8, 254, (6, 0, 2, 5, 8, 9, 1, 3, 4, 7), False, id="bad-hint-6",
+    ),
+    pytest.param(
+        graph_from_edges(10, BAD_HINT_EDGES), 7,
+        7, 308, (6, 5, 4, 7, 9, 1, 3, 2, 0, 8), True, id="bad-hint-7",
+    ),
+]
+
+
+@pytest.mark.parametrize("g, hint, value, states, order, complete", BNB_PINS)
+def test_bnb_search_is_pinned(g, hint, value, states, order, complete):
+    result = brush_number_bnb(g, hint, timeout=None)
+    assert (result.value, result.states, result.witness.order, result.complete) == (
+        value,
+        states,
+        order,
+        complete,
+    )
+
+
+def test_bnb_stops_at_budget_past_recursion_depth():
+    g, _ = cartesian_product(make_clique(3), make_path(400))
+    result = brush_number_bnb(g, timeout=0.5)
+    assert not result.complete
+    assert result.seconds < 10
+    assert result.value >= 801  # b(K3 x P400) by the closed form
+    assert minimal_config_for_sequence(g, result.witness).total == result.value
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_bnb_tiny_graphs(n):
+    result = brush_number_bnb(graph_from_edges(n, []))
+    assert (result.value, result.witness.order, result.complete) == (0, tuple(range(n)), True)
+    if n == 0:
+        assert result.states == 1
+
+
 # ------------------------------------------------------------- box sweep
 
 def test_box_sweep_order_three():
