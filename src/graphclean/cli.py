@@ -43,7 +43,6 @@ from .solver import (
     brush_number_dp,
     brute_force_permutations,
     check_box_conjecture,
-    parity_lower_bound,
 )
 
 EXIT_OK = 0
@@ -177,7 +176,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(f"method={result.method}")
     print(f"value={result.value}")
     print(f"complete={'true' if result.complete else 'false'}")
-    print(f"lower_bound={result.value if result.complete else parity_lower_bound(g)}")
+    print(f"lower_bound={result.value if result.complete else result.lower_bound}")
     print(f"states={result.states}")
     print(f"seconds={result.seconds:.3f}")
     print(f"sequence={_fmt_seq(result.witness)}")

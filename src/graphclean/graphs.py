@@ -1,4 +1,4 @@
-"""Simple undirected graphs, product construction and edge-list text I/O.
+"""Simple undirected graphs, products, automorphisms and edge-list text I/O.
 
 Vertices are the integers 0..vertex_count-1 throughout.  Graphs are
 immutable once built and always simple (no loops, no parallel edges):
@@ -8,8 +8,11 @@ simple graphs is simple by construction.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import InvalidParameterError, ParseError
 
@@ -102,6 +105,94 @@ def is_connected(g: Graph) -> bool:
                 seen.add(u)
                 stack.append(u)
     return len(seen) == g.vertex_count
+
+
+def automorphisms(g: Graph, limit: int, deadline: float | None = None) -> np.ndarray:
+    """Up to limit automorphisms of g, as the rows of an int64 array whose
+    entry [a, v] is the image of v under the a-th automorphism.
+
+    Colours start from the degrees and are refined by the multiset of
+    neighbour colours until no class splits.  Vertices are mapped in BFS
+    order: an image has the vertex's colour, is a neighbour of the
+    parent's image (any free vertex for a component's root), and keeps
+    adjacency and non-adjacency to every vertex mapped before it.  The
+    group G_j fixing the first j vertices of the order is built from
+    the last j up: it is G_(j+1) together with t G_(j+1) for one t in
+    G_j per other image of vertex j, found by a backtrack.  Past the
+    time.monotonic() deadline the groups built so far are returned.
+    The identity comes first, and the order depends on g alone.
+    """
+    n = g.vertex_count
+    colour = [g.degree(v) for v in range(n)]
+    while True:
+        sig = [(colour[v], tuple(sorted(colour[u] for u in g.adjacency[v]))) for v in range(n)]
+        ids = {s: i for i, s in enumerate(sorted(set(sig)))}
+        if len(ids) == len(set(colour)):
+            break
+        colour = [ids[s] for s in sig]
+    adj = [sum(1 << u for u in nbrs) for nbrs in g.adjacency]
+    nbrs = [sorted(a) for a in g.adjacency]
+    order: list[int] = []
+    parent: list[int] = []  # position of the BFS parent, -1 for a root
+    pos = [-1] * n
+    for root in range(n):
+        if pos[root] < 0:
+            head = pos[root] = len(order)
+            order.append(root)
+            parent.append(-1)
+            while head < len(order):
+                for u in nbrs[order[head]]:
+                    if pos[u] < 0:
+                        pos[u] = len(order)
+                        order.append(u)
+                        parent.append(head)
+                head += 1
+    earlier = [[pos[u] for u in nbrs[v] if pos[u] < i] for i, v in enumerate(order)]
+
+    def candidates(img: list[int], used: int) -> list[int]:
+        # images allowed for the next position, given img of those before
+        i = len(img)
+        need = sum(1 << img[j] for j in earlier[i])
+        pool = range(n) if parent[i] < 0 else nbrs[img[parent[i]]]
+        want = colour[order[i]]
+        return [c for c in pool if not used >> c & 1 and colour[c] == want and adj[c] & used == need]
+
+    def extend(img: list[int], used: int) -> list[int] | None:
+        # the first full map that extends img, as images by vertex
+        base = len(img)
+        branches = [iter(candidates(img, used))]
+        while branches and (deadline is None or time.monotonic() <= deadline):
+            c = next(branches[-1], None)
+            if c is None:
+                branches.pop()
+                if len(img) > base:
+                    used ^= 1 << img.pop()
+                continue
+            img.append(c)
+            used |= 1 << c
+            if len(img) == n:
+                return [img[pos[v]] for v in range(n)]
+            branches.append(iter(candidates(img, used)))
+        return None
+
+    group = np.arange(n, dtype=np.int64)[None, :]
+    for j in reversed(range(n)):
+        if len(group) >= limit or (deadline is not None and time.monotonic() > deadline):
+            break
+        fixed = order[:j]
+        used = sum(1 << v for v in fixed)
+        reps = []
+        for r in candidates(fixed, used):
+            if len(group) * (len(reps) + 1) >= limit:
+                break
+            t = None if r == order[j] else extend(fixed + [r], used | 1 << r)
+            if t is not None:
+                reps.append(t)
+        if reps:
+            # (t o s)(v) = t[s[v]] for every rep t and every s in G_(j+1)
+            products = np.array(reps, dtype=np.int64)[:, group].reshape(-1, n)
+            group = np.concatenate([group, products])[:limit]
+    return group[:limit]
 
 
 @dataclass(frozen=True)

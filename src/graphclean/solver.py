@@ -32,6 +32,7 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    automorphisms,
     cartesian_product,
     graph_from_edges,
     is_connected,
@@ -41,6 +42,15 @@ DEFAULT_DP_CAP = 22
 # Vertex sets the branch-and-bound's dominance table holds; sets met
 # once it is full are searched but not recorded.
 BNB_MEMO_ENTRIES = 1_500_000
+# The branch-and-bound keys its table by Aut(G)-orbits when it finds at
+# least ORBIT_MIN_GROUP automorphisms: the per-child numpy key lost on
+# every |A| = 2 graph of the benchmark's pool (18 vertices: 8.4 -> 13.2
+# ms) and won from |A| = 12 (K3xP5: 15.5 -> 6.3 ms).
+ORBIT_MIN_GROUP = 8
+# It uses at most ORBIT_MAX_GROUP of them, as a key costs |A| words per
+# child: K8xP3 (|A| = 80640) took 0.87 s with 2048, 1.4 s with 16384
+# and 3.2 s with all; K7xP4 (|A| = 10080) 9.7 s with 2048, 6.4 s with all.
+ORBIT_MAX_GROUP = 2048
 # Peak bytes per subset state in brush_number_dp, traced at 16 vertices
 # (10.1): the uint8 popcount (1) and int16 table f (2) span every subset;
 # the rest is one pass over the widest layer, a fifth of the subsets at
@@ -59,6 +69,8 @@ class SolveResult:
     states: int
     seconds: float
     complete: bool = True
+    # a proven lower bound on b(G) when the result is not complete
+    lower_bound: int | None = None
 
 
 def _adjacency_masks(g: Graph) -> tuple[list[int], list[int]]:
@@ -195,11 +207,22 @@ def brush_number_bnb(
     each node's children are pushed most expensive first.  A popped
     prefix is cut when its cost plus a parity bound on the remainder
     cannot beat the incumbent, or when a dominance table of up to
-    BNB_MEMO_ENTRIES vertex sets has reached its set as cheaply.
-    upper_hint, when given, caps the search: only orders costing at most
-    upper_hint are explored.  A search that ends with nothing that cheap
-    proves the hint was below b(G), and, like a timeout, returns the
-    best sequence found with complete=False.
+    BNB_MEMO_ENTRIES keys has reached its key as cheaply.
+
+    The memo is keyed by Aut(G)-orbits found from g itself: when
+    automorphisms(g) gives at least ORBIT_MIN_GROUP of them (at most
+    ORBIT_MAX_GROUP, on at most 63 vertices), a cleaned set's key is its
+    least image under them, else the set itself.  Equal keys mean one
+    orbit, and an automorphism maps the completions of a set onto those
+    of its image at the same cost, so one entry serves the whole orbit.
+    Finding the automorphisms counts against timeout.
+
+    upper_hint, when given, caps the search: only orders costing at
+    most upper_hint are explored.  A search that ends with nothing that
+    cheap proves the hint was below b(G), and, like a timeout, returns
+    the best sequence found with complete=False.  A timed-out search
+    also returns a proven lower_bound: the least cost plus parity bound
+    over the unexplored prefixes on its stack, at most the incumbent.
     """
     n = g.vertex_count
     start = time.perf_counter()
@@ -208,19 +231,31 @@ def brush_number_bnb(
     best_seq, best_cost = _greedy_order(n, masks, degs)
     cap = best_cost if upper_hint is None else min(best_cost, upper_hint + 1)
     full = (1 << n) - 1
+    # images[u, a] is the bit of u's image under the a-th automorphism,
+    # images_of[depth] the images of sets[depth]; keys fit in an int64
+    group = automorphisms(g, ORBIT_MAX_GROUP, deadline) if n <= 63 else np.empty((0, n))
+    orbits = len(group) >= ORBIT_MIN_GROUP
+    images = np.left_shift(1, group.T.astype(np.int64))
+    images_of = np.zeros((n + 1, len(group)), dtype=np.int64)
     memo: dict[int, int] = {}
     # a popped entry's parent is the last entry popped one level up, so
     # path[:depth] and sets[depth] hold the popped prefix's order and set
     path = [0] * n
     sets = [0] * (n + 1)
-    # (cost, last vertex, odd-degree vertices left minus cut edges, depth)
-    stack = [(0, 0, sum(d % 2 for d in degs), 0)]
+    # (cost, last vertex, odd-degree vertices left minus cut edges,
+    # depth, memo key or None for the set itself)
+    stack = [(0, 0, sum(d % 2 for d in degs), 0, None)]
     states = 0
     timed_out = False
+    lower = parity_lower_bound(g)
     while stack:
-        cost, v, deficit, depth = stack.pop()
+        cost, v, deficit, depth, key = stack.pop()
         states += 1
         if deadline is not None and states % 256 == 0 and time.monotonic() > deadline:
+            # every unexplored order extends the popped prefix or one on
+            # the stack, or was cut at a cost of at least cap
+            least = min((c + max(0, (d + 1) // 2) for c, _, d, _, _ in stack), default=cap)
+            lower = max(lower, min(cap, cost + max(0, (deficit + 1) // 2), least))
             timed_out = True
             break
         if depth:
@@ -232,11 +267,13 @@ def brush_number_bnb(
                 best_cost, best_seq = cost, tuple(path)
                 cap = min(cap, cost)
             continue
-        seen = memo.get(mask)
+        if key is None:
+            key = mask
+        seen = memo.get(key)
         if seen is not None and seen <= cost:
             continue
         if seen is not None or len(memo) < BNB_MEMO_ENTRIES:
-            memo[mask] = cost
+            memo[key] = cost
         lb = (deficit + 1) // 2
         if cost + (lb if lb > 0 else 0) >= cap:
             continue
@@ -245,16 +282,24 @@ def brush_number_bnb(
             if not mask >> u & 1:
                 marg = degs[u] - 2 * (masks[u] & mask).bit_count()
                 child_cost = cost + marg if marg > 0 else cost
-                children.append((child_cost, u, deficit - (degs[u] & 1) - marg, depth + 1))
+                children.append((child_cost, u, deficit - (degs[u] & 1) - marg, depth + 1, None))
+        if orbits:
+            if depth:
+                np.bitwise_or(images_of[depth - 1], images[v], out=images_of[depth])
+            us = [c[1] for c in children]
+            keys = (images_of[depth] | images[us]).min(axis=1).tolist()
+            children = [(c, u, d, dp, k) for (c, u, d, dp, _), k in zip(children, keys)]
         children.sort(reverse=True)
         stack += children
+    complete = not timed_out and (upper_hint is None or best_cost <= upper_hint)
     return SolveResult(
         best_cost,
         CleaningSequence(best_seq),
         "bnb",
         states,
         time.perf_counter() - start,
-        complete=not timed_out and (upper_hint is None or best_cost <= upper_hint),
+        complete=complete,
+        lower_bound=None if complete else lower,
     )
 
 

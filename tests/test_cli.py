@@ -149,6 +149,18 @@ def test_solve_bnb_stops_at_budget(tmp_path, capsys):
     assert kv(out)["complete"] == "false"
 
 
+def test_solve_bnb_timeout_prints_proven_lower_bound(tmp_path, capsys):
+    # the parity bound is 0 on a torus; the bound from the search's
+    # stack counts the first vertex's 4 brushes
+    path = tmp_path / "t57.graph"
+    assert run(capsys, "gen", "torus", "5", "7", "-o", str(path))[0] == 0
+    code, out, _ = run(capsys, "solve", str(path), "--method", "bnb", "--timeout", "0.2")
+    assert code == 4
+    pairs = kv(out)
+    assert pairs["complete"] == "false"
+    assert 4 <= int(pairs["lower_bound"]) <= 20 <= int(pairs["value"])
+
+
 def test_crash_exits_internal_error(monkeypatch, capsys):
     # a crash must not read as "infeasible" (1)
     def crash(args):
@@ -445,6 +457,15 @@ def test_report_km_cn_skips_over_cap(capsys):
     assert "solver=- " in row and "verdict=skipped seconds=-" in row
     summary = out.splitlines()[-1]
     assert "rows=2" in summary and "skipped=1" in summary and summary.endswith("conclusion=scaled")
+
+
+def test_report_torus_past_dp_cap(capsys):
+    # 28 vertices, over the DP cap: the branch-and-bound must finish
+    code, out, _ = run(capsys, "report", "torus", "--instances", "4x7", "--jobs", "1")
+    assert code == 0
+    row = next(line for line in out.splitlines() if line.startswith("instance=C4xC7"))
+    assert row.startswith("instance=C4xC7 formula=18 solver=18 match=yes method=bnb states=")
+    assert out.splitlines()[-1] == "summary suite=torus rows=1 mismatches=0 skipped=0 incomplete=0"
 
 
 def test_report_torus_falls_back_to_bnb(capsys):

@@ -1,14 +1,18 @@
-"""Graph construction, products and the edge-list format."""
+"""Graph construction, products, automorphisms and the edge-list format."""
 
-from itertools import combinations
+import time
+from itertools import combinations, permutations
+from math import factorial
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from graphclean import (
     InvalidParameterError,
     ParseError,
     ProductLabeling,
+    automorphisms,
     cartesian_product,
     graph_from_edges,
     is_connected,
@@ -170,3 +174,96 @@ def test_is_connected():
     assert is_connected(make_path(1))
     assert not is_connected(graph_from_edges(3, []))
     assert not is_connected(graph_from_edges(4, [(0, 1), (2, 3)]))
+
+
+# ------------------------------------------------------------ automorphisms
+
+def _assert_automorphisms(g, group):
+    edges = set(g.edges())
+    for p in group.tolist():
+        assert sorted(p) == list(range(g.vertex_count))
+        assert {(min(p[u], p[v]), max(p[u], p[v])) for u, v in edges} == edges
+    assert len({tuple(p) for p in group.tolist()}) == len(group)
+
+
+def _brute_force_group_order(g):
+    """Counts the vertex permutations that map every edge to an edge."""
+    n = g.vertex_count
+    perms = np.array(list(permutations(range(n))), dtype=np.int8)
+    adj = np.zeros((n, n), dtype=bool)
+    for u, v in g.edges():
+        adj[u, v] = adj[v, u] = True
+    keep = np.ones(len(perms), dtype=bool)
+    for u, v in g.edges():
+        keep &= adj[perms[:, u], perms[:, v]]
+    return int(keep.sum())
+
+
+def _product(left, right):
+    return cartesian_product(left, right)[0]
+
+
+GROUP_ORDERS = [
+    pytest.param(_product(make_cycle(3), make_cycle(5)), 60, id="C3xC5"),
+    pytest.param(_product(make_cycle(4), make_cycle(4)), 384, id="C4xC4"),
+    pytest.param(_product(make_cycle(5), make_cycle(5)), 200, id="C5xC5"),
+] + [
+    pytest.param(_product(make_clique(m), make_path(n)), 2 * factorial(m), id=f"K{m}xP{n}")
+    for m in range(3, 7)
+    for n in range(2, 5)
+]
+
+
+@pytest.mark.parametrize("g, order", GROUP_ORDERS)
+def test_automorphism_group_orders(g, order):
+    group = automorphisms(g, 10**6)
+    assert len(group) == order
+    assert group[0].tolist() == list(range(g.vertex_count))
+    _assert_automorphisms(g, group)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        _product(make_cycle(3), make_cycle(3)),
+        _product(make_clique(3), make_path(3)),
+        _product(make_path(3), make_path(3)),
+        _product(make_cycle(4), make_path(2)),
+        _product(make_clique(4), make_path(2)),
+        make_cycle(9),
+        graph_from_edges(9, [(0, 1), (2, 3), (4, 5), (5, 6)]),
+    ],
+    ids=["C3xC3", "K3xP3", "P3xP3", "C4xP2", "K4xP2", "C9", "forest"],
+)
+def test_automorphisms_match_brute_force_named(g):
+    group = automorphisms(g, 10**6)
+    assert len(group) == _brute_force_group_order(g)
+    _assert_automorphisms(g, group)
+
+
+@given(graphs(max_vertices=7))
+@settings(max_examples=60, deadline=None)
+def test_automorphisms_match_brute_force(g):
+    group = automorphisms(g, 10**6)
+    assert len(group) == _brute_force_group_order(g)
+    _assert_automorphisms(g, group)
+
+
+def test_automorphisms_stop_at_limit():
+    start = time.perf_counter()
+    group = automorphisms(graph_from_edges(12, []), 500)
+    assert time.perf_counter() - start < 1
+    assert len(group) == 500
+    _assert_automorphisms(graph_from_edges(12, []), group)
+
+
+def test_automorphisms_stop_at_deadline():
+    # past the deadline only the identity is returned
+    g = _product(make_cycle(5), make_cycle(5))
+    group = automorphisms(g, 10**6, deadline=time.monotonic() - 1)
+    assert group.tolist() == [list(range(25))]
+
+
+def test_automorphisms_of_tiny_graphs():
+    assert automorphisms(graph_from_edges(0, []), 10).shape == (1, 0)
+    assert automorphisms(graph_from_edges(2, []), 10).tolist() == [[0, 1], [1, 0]]

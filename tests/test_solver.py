@@ -10,6 +10,7 @@ import tracemalloc
 from itertools import combinations
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +20,7 @@ from graphclean import (
     InvalidParameterError,
     ResourceLimitError,
     TooLargeError,
+    automorphisms,
     brush_number_bnb,
     brush_number_dp,
     brute_force_permutations,
@@ -268,11 +270,11 @@ def test_bnb_hint_below_optimum_is_incomplete():
 BNB_PINS = [
     pytest.param(
         cartesian_product(make_cycle(3), make_cycle(5))[0], None,
-        12, 12286, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14), True, id="C3xC5",
+        12, 448, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14), True, id="C3xC5",
     ),
     pytest.param(
         cartesian_product(make_clique(3), make_path(5))[0], None,
-        11, 20134, (0, 5, 10, 1, 6, 11, 2, 7, 12, 3, 8, 13, 4, 9, 14), True, id="K3xP5",
+        11, 2482, (0, 5, 10, 1, 6, 11, 2, 7, 12, 3, 8, 13, 4, 9, 14), True, id="K3xP5",
     ),
     pytest.param(
         random_graph(random.Random(7), 12, 0.4), None,
@@ -315,6 +317,81 @@ def test_bnb_tiny_graphs(n):
     assert (result.value, result.witness.order, result.complete) == (0, tuple(range(n)), True)
     if n == 0:
         assert result.states == 1
+
+
+# ----------------------------------------------------- orbit-keyed memo
+
+def _family_instances(max_vertices):
+    for kind, m_min, n_min in (("torus", 3, 3), ("km-pn", 2, 2), ("km-cn", 2, 3)):
+        for m in range(m_min, max_vertices // n_min + 1):
+            for n in range(n_min, max_vertices // m + 1):
+                yield pytest.param(FAMILIES[kind].build(m, n), id=FAMILIES[kind].label.format(m, n))
+
+
+def _circulant(n, steps):
+    edges = {tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps}
+    return graph_from_edges(n, sorted(edges))
+
+
+# hubs 2 and 4, joined to each other and to 0, with leaves 1, 5 on hub 2
+# and 3, 6 on hub 4: |Aut| = 8, b = 2, and the greedy first order costs 3
+TWO_HUBS_EDGES = [(0, 2), (0, 4), (1, 2), (2, 4), (2, 5), (3, 4), (4, 6)]
+
+# symmetric graphs whose greedy first incumbent is above b(G), so the
+# orbit-keyed memo has to prune soundly to reach b(G)
+GREEDY_ABOVE_OPTIMUM = [
+    pytest.param(graph_from_edges(7, TWO_HUBS_EDGES), id="two-hubs"),
+    pytest.param(_circulant(11, (1, 4)), id="C11(1,4)"),
+    pytest.param(_circulant(13, (1, 4)), id="C13(1,4)"),
+    pytest.param(_circulant(13, (1, 3, 5)), id="C13(1,3,5)"),
+]
+
+
+@pytest.mark.parametrize("g", list(_family_instances(20)) + GREEDY_ABOVE_OPTIMUM)
+def test_orbit_bnb_matches_dp(g):
+    dp = brush_number_dp(g)
+    result = brush_number_bnb(g, timeout=None)
+    assert (result.value, result.complete) == (dp.value, True)
+    assert minimal_config_for_sequence(g, result.witness).total == dp.value
+
+
+def test_orbit_key_needs_true_automorphisms(monkeypatch):
+    g = graph_from_edges(7, TWO_HUBS_EDGES)
+    real = solver.automorphisms
+    assert len(real(g, solver.ORBIT_MAX_GROUP)) == solver.ORBIT_MIN_GROUP
+    assert brush_number_bnb(g).value == 2
+    # swapping leaf 3 of hub 4 with leaf 5 of hub 2 is no automorphism;
+    # keyed by it, the memo cuts every optimal order
+    wrong = np.array([0, 1, 2, 5, 4, 3, 6])
+    monkeypatch.setattr(
+        solver,
+        "automorphisms",
+        lambda g, limit, deadline=None: np.vstack([real(g, limit, deadline), wrong]),
+    )
+    assert brush_number_bnb(g).value == 3
+
+
+def test_plain_key_below_min_group():
+    # gnp-12-seed7's group is trivial, so its pinned search keeps the plain key
+    g = random_graph(random.Random(7), 12, 0.4)
+    assert automorphisms(g, solver.ORBIT_MAX_GROUP).tolist() == [list(range(12))]
+
+
+@pytest.mark.parametrize(
+    "g, exact, floor, timeout",
+    [
+        # the parity bound is 0, but every prefix on the stack has
+        # cleaned a vertex of degree 4
+        pytest.param(FAMILIES["torus"].build(5, 7), 20, 4, 0.2, id="C5xC7"),
+        pytest.param(FAMILIES["km-pn"].build(4, 8), 32, 0, 0.2, id="K4xP8"),
+        pytest.param(random_graph(random.Random(1), 20, 0.4), None, 0, 0.01, id="gnp-20-seed1"),
+    ],
+)
+def test_bnb_timeout_lower_bound_is_proven(g, exact, floor, timeout):
+    result = brush_number_bnb(g, timeout=timeout)
+    assert not result.complete
+    exact = brush_number_dp(g).value if exact is None else exact
+    assert max(floor, parity_lower_bound(g)) <= result.lower_bound <= exact <= result.value
 
 
 # ------------------------------------------------------------- box sweep
