@@ -204,10 +204,12 @@ def brush_number_bnb(
     """Branch-and-bound over cleaning prefixes, as one loop over an explicit stack.
 
     Branches on the next-cleaned vertex, cheapest marginal cost first:
-    each node's children are pushed most expensive first.  A popped
-    prefix is cut when its cost plus a parity bound on the remainder
-    cannot beat the incumbent, or when a dominance table of up to
-    BNB_MEMO_ENTRIES keys has reached its key as cheaply.
+    each node's children are pushed most expensive first.  A child is
+    pushed only when its cost plus a parity bound on the remainder can
+    beat the incumbent and a dominance table of up to BNB_MEMO_ENTRIES
+    keys has not reached its key as cheaply.  Both cuts run again when
+    it is popped, as the incumbent and the table may have improved since.
+    states counts the popped nodes.
 
     The memo is keyed by Aut(G)-orbits found from g itself: when
     automorphisms(g) gives at least ORBIT_MIN_GROUP of them (at most
@@ -219,10 +221,11 @@ def brush_number_bnb(
 
     upper_hint, when given, caps the search: only orders costing at
     most upper_hint are explored.  A search that ends with nothing that
-    cheap proves the hint was below b(G), and, like a timeout, returns
-    the best sequence found with complete=False.  A timed-out search
-    also returns a proven lower_bound: the least cost plus parity bound
-    over the unexplored prefixes on its stack, at most the incumbent.
+    cheap proves b(G) > upper_hint: it returns the best sequence found
+    with complete=False and lower_bound at least upper_hint + 1.  A
+    timed-out search also returns a proven lower_bound: the least cost
+    plus parity bound over the unexplored prefixes on its stack, at most
+    the incumbent.
     """
     n = g.vertex_count
     start = time.perf_counter()
@@ -243,19 +246,23 @@ def brush_number_bnb(
     path = [0] * n
     sets = [0] * (n + 1)
     # (cost, last vertex, odd-degree vertices left minus cut edges,
-    # depth, memo key or None for the set itself)
-    stack = [(0, 0, sum(d % 2 for d in degs), 0, None)]
+    # depth, orbit key or None for the set itself, least cost plus
+    # parity bound over this entry and every entry below it)
+    odd = sum(d % 2 for d in degs)
+    stack = [(0, 0, odd, 0, None, (odd + 1) // 2)]
+    # a pop scans up to n vertices, so the clock is read every 256
+    # pops, or more often past 256 vertices
+    every = min(256, 65536 // (n + 1) + 1)
     states = 0
     timed_out = False
     lower = parity_lower_bound(g)
     while stack:
-        cost, v, deficit, depth, key = stack.pop()
+        cost, v, deficit, depth, key, least = stack.pop()
         states += 1
-        if deadline is not None and states % 256 == 0 and time.monotonic() > deadline:
+        if deadline is not None and states % every == 0 and time.monotonic() > deadline:
             # every unexplored order extends the popped prefix or one on
             # the stack, or was cut at a cost of at least cap
-            least = min((c + max(0, (d + 1) // 2) for c, _, d, _, _ in stack), default=cap)
-            lower = max(lower, min(cap, cost + max(0, (deficit + 1) // 2), least))
+            lower = max(lower, min(cap, least))
             timed_out = True
             break
         if depth:
@@ -277,21 +284,34 @@ def brush_number_bnb(
         lb = (deficit + 1) // 2
         if cost + (lb if lb > 0 else 0) >= cap:
             continue
+        # (cost, vertex, deficit, cost plus parity bound) of each child
+        # that can beat cap; the last vertex adds no cost, so it can
         children = []
         for u in range(n):
             if not mask >> u & 1:
                 marg = degs[u] - 2 * (masks[u] & mask).bit_count()
                 child_cost = cost + marg if marg > 0 else cost
-                children.append((child_cost, u, deficit - (degs[u] & 1) - marg, depth + 1, None))
+                child_deficit = deficit - (degs[u] & 1) - marg
+                bound = child_cost + (child_deficit + 1) // 2 if child_deficit > 0 else child_cost
+                if bound < cap:
+                    children.append((child_cost, u, child_deficit, bound))
+        if not children:
+            continue
         if orbits:
             if depth:
                 np.bitwise_or(images_of[depth - 1], images[v], out=images_of[depth])
-            us = [c[1] for c in children]
-            keys = (images_of[depth] | images[us]).min(axis=1).tolist()
-            children = [(c, u, d, dp, k) for (c, u, d, dp, _), k in zip(children, keys)]
-        children.sort(reverse=True)
-        stack += children
+            keys = (images_of[depth] | images[[c[1] for c in children]]).min(axis=1).tolist()
+        else:
+            keys = [mask | 1 << c[1] for c in children]
+        least = stack[-1][5] if stack else cap
+        for (c, u, d, b), k in sorted(zip(children, keys), reverse=True):
+            seen = memo.get(k)
+            if seen is None or seen > c:
+                least = b if b < least else least
+                stack.append((c, u, d, depth + 1, k if orbits else None, least))
     complete = not timed_out and (upper_hint is None or best_cost <= upper_hint)
+    if not complete and not timed_out:
+        lower = max(lower, upper_hint + 1)
     return SolveResult(
         best_cost,
         CleaningSequence(best_seq),

@@ -161,6 +161,16 @@ def test_solve_bnb_timeout_prints_proven_lower_bound(tmp_path, capsys):
     assert 4 <= int(pairs["lower_bound"]) <= 20 <= int(pairs["value"])
 
 
+def test_solve_bnb_low_hint_prints_hint_plus_one(tmp_path, capsys):
+    # b(C4 x C5) = 14: a search that finds nothing at most 13 proves 14
+    path = tmp_path / "t45.graph"
+    assert run(capsys, "gen", "torus", "4", "5", "-o", str(path))[0] == 0
+    code, out, _ = run(capsys, "solve", str(path), "--method", "bnb", "--upper-hint", "13")
+    assert code == 4
+    pairs = kv(out)
+    assert (pairs["complete"], pairs["lower_bound"]) == ("false", "14")
+
+
 def test_crash_exits_internal_error(monkeypatch, capsys):
     # a crash must not read as "infeasible" (1)
     def crash(args):

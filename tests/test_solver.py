@@ -264,29 +264,38 @@ def test_bnb_hint_below_optimum_is_incomplete():
     assert exact.complete and exact.value == 7
 
 
+def test_bnb_hint_below_optimum_proves_hint_plus_one():
+    # a search under hint 6 that ends with nothing that cheap proves
+    # b(G) >= 7, above the parity bound of 3
+    g = graph_from_edges(10, BAD_HINT_EDGES)
+    assert parity_lower_bound(g) == 3
+    result = brush_number_bnb(g, 6, timeout=None)
+    assert (result.complete, result.lower_bound) == (False, 7)
+
+
 # exact node counts and witnesses of the search, which visits children
 # cheapest marginal cost first, ties to the lower vertex id; any other
 # visiting order changes them
 BNB_PINS = [
     pytest.param(
         cartesian_product(make_cycle(3), make_cycle(5))[0], None,
-        12, 448, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14), True, id="C3xC5",
+        12, 91, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14), True, id="C3xC5",
     ),
     pytest.param(
         cartesian_product(make_clique(3), make_path(5))[0], None,
-        11, 2482, (0, 5, 10, 1, 6, 11, 2, 7, 12, 3, 8, 13, 4, 9, 14), True, id="K3xP5",
+        11, 356, (0, 5, 10, 1, 6, 11, 2, 7, 12, 3, 8, 13, 4, 9, 14), True, id="K3xP5",
     ),
     pytest.param(
         random_graph(random.Random(7), 12, 0.4), None,
-        11, 1560, (9, 11, 4, 0, 3, 7, 8, 2, 5, 1, 6, 10), True, id="gnp-12-seed7",
+        11, 184, (9, 11, 4, 0, 3, 7, 8, 2, 5, 1, 6, 10), True, id="gnp-12-seed7",
     ),
     pytest.param(
         graph_from_edges(10, BAD_HINT_EDGES), 6,
-        8, 254, (6, 0, 2, 5, 8, 9, 1, 3, 4, 7), False, id="bad-hint-6",
+        8, 31, (6, 0, 2, 5, 8, 9, 1, 3, 4, 7), False, id="bad-hint-6",
     ),
     pytest.param(
         graph_from_edges(10, BAD_HINT_EDGES), 7,
-        7, 308, (6, 5, 4, 7, 9, 1, 3, 2, 0, 8), True, id="bad-hint-7",
+        7, 47, (6, 5, 4, 7, 9, 1, 3, 2, 0, 8), True, id="bad-hint-7",
     ),
 ]
 
@@ -392,6 +401,27 @@ def test_bnb_timeout_lower_bound_is_proven(g, exact, floor, timeout):
     assert not result.complete
     exact = brush_number_dp(g).value if exact is None else exact
     assert max(floor, parity_lower_bound(g)) <= result.lower_bound <= exact <= result.value
+
+
+# with timeout=0 the search stops at its first clock reading, the 256th
+# pop, so the bound read from the stack's running minimum is fixed
+@pytest.mark.parametrize(
+    "kind, m, n, lower",
+    [("torus", 5, 7, 4), ("km-pn", 4, 8, 14), ("torus", 4, 8, 4)],
+    ids=["C5xC7", "K4xP8", "C4xC8"],
+)
+def test_bnb_timeout_lower_bound_is_pinned(kind, m, n, lower):
+    result = brush_number_bnb(FAMILIES[kind].build(m, n), timeout=0)
+    assert (result.complete, result.states, result.lower_bound) == (False, 256, lower)
+
+
+@pytest.mark.parametrize("m, n", [(5, 7), (4, 8)], ids=["C5xC7", "C4xC8"])
+def test_bnb_completes_past_dp_cap(m, n):
+    # 35 and 32 vertices, out of the DP's reach; b = 20 by the closed form
+    g = FAMILIES["torus"].build(m, n)
+    result = brush_number_bnb(g, timeout=30)
+    assert (result.value, result.complete) == (20, True)
+    assert minimal_config_for_sequence(g, result.witness).total == 20
 
 
 # ------------------------------------------------------------- box sweep
