@@ -5,12 +5,19 @@ cleaned only while it holds at least as many brushes as it has dirty
 incident edges, and cleaning it sends exactly one brush along each dirty
 edge (surplus brushes stay behind).  A vertex with no dirty incident
 edges may always be cleaned, at zero cost.
+
+The rule lives in one loop, fire.  simulate records its firings as a
+CleaningTrace and verify --sequence prints them; check_cleaning,
+cleaning_order, config and the constructions' self-checks only need
+the loop to finish, so they build no steps.
 """
 
 from __future__ import annotations
 
 import graphlib
 import heapq
+from collections import deque
+from collections.abc import Iterator, Sized
 from dataclasses import dataclass
 
 from .errors import (
@@ -101,10 +108,10 @@ class CleaningTrace:
         return sum(self.final_brushes)
 
 
-def _check_sizes(g: Graph, w0: BrushConfig) -> None:
-    if len(w0) != g.vertex_count:
+def _check_sizes(g: Graph, counts: Sized) -> None:
+    if len(counts) != g.vertex_count:
         raise InvalidInputError(
-            f"config covers {len(w0)} vertices, graph has {g.vertex_count}"
+            f"config covers {len(counts)} vertices, graph has {g.vertex_count}"
         )
 
 
@@ -161,36 +168,44 @@ def minimal_config_for_sequence(g: Graph, seq: CleaningSequence) -> BrushConfig:
     )
 
 
-def simulate(g: Graph, w0: BrushConfig, seq: CleaningSequence) -> CleaningTrace:
-    """Run the cleaning process along a complete sequence.
+def fire(
+    g: Graph, brushes: list[int], seq: CleaningSequence
+) -> Iterator[tuple[int, int, list[int]]]:
+    """Fire a complete sequence in order, updating brushes in place.
 
+    Yields (vertex, brushes before, sorted dirty neighbours) per firing.
     Raises InfeasibleStepError at the first vertex fired with fewer
     brushes than dirty incident edges.
     """
-    _check_sizes(g, w0)
+    _check_sizes(g, brushes)
     _check_complete(g, seq)
     adjacency = g.adjacency
-    brushes = list(w0.counts)
     cleaned = [False] * g.vertex_count
-    steps: list[CleaningStep] = []
     for v in seq:
         dirty = sorted([u for u in adjacency[v] if not cleaned[u]])
-        if brushes[v] < len(dirty):
-            raise InfeasibleStepError(v, brushes[v], len(dirty))
+        have, need = brushes[v], len(dirty)
+        if have < need:
+            raise InfeasibleStepError(v, have, need)
         for u in dirty:
             brushes[u] += 1
-        before = brushes[v]
-        brushes[v] -= len(dirty)
+        brushes[v] -= need
         cleaned[v] = True
-        steps.append(
-            CleaningStep(
-                vertex=v,
-                brushes_before=before,
-                cleaned_edges=tuple([(v, u) if v < u else (u, v) for u in dirty]),
-                forwarded_to=tuple(dirty),
-            )
-        )
-    return CleaningTrace(tuple(steps), tuple(brushes))
+        yield v, have, dirty
+
+
+def check_cleaning(g: Graph, w0: BrushConfig, seq: CleaningSequence) -> None:
+    """Raise InfeasibleStepError unless seq cleans g from w0; builds no steps."""
+    deque(fire(g, list(w0.counts), seq), maxlen=0)
+
+
+def simulate(g: Graph, w0: BrushConfig, seq: CleaningSequence) -> CleaningTrace:
+    """Run fire along a complete sequence and record every step; raises as fire does."""
+    brushes = list(w0.counts)
+    steps = tuple(
+        CleaningStep(v, have, tuple([(v, u) if v < u else (u, v) for u in dirty]), tuple(dirty))
+        for v, have, dirty in fire(g, brushes, seq)
+    )
+    return CleaningTrace(steps, tuple(brushes))
 
 
 def can_clean(
@@ -234,7 +249,7 @@ def cleaning_order(
     """preferred if it cleans g from w0, else can_clean's greedy order,
     else None when no order cleans."""
     try:
-        simulate(g, w0, preferred)
+        check_cleaning(g, w0, preferred)
         return preferred
     except InfeasibleStepError:
         ok, found = can_clean(g, w0)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .cleaning import BrushConfig, CleaningSequence, cleaning_order, simulate
+from .cleaning import BrushConfig, CleaningSequence, check_cleaning, cleaning_order
 from .errors import (
     InfeasibleStepError,
     InternalInconsistencyError,
@@ -272,7 +272,7 @@ def _merge_lines(
     # dict keys keep each merged vertex at its first position in seq
     new_seq = CleaningSequence(tuple(dict.fromkeys(vmap[v] for v in seq)))
     try:
-        simulate(new_g, new_w0, new_seq)
+        check_cleaning(new_g, new_w0, new_seq)
     except InfeasibleStepError as exc:  # ruled out for valid inputs
         raise InternalInconsistencyError(
             f"merged cleaning failed at vertex {exc.vertex}"
@@ -442,7 +442,7 @@ def _attempt_reduction(
 
 def _simulate_or_invalid(g: Graph, w0: BrushConfig, seq: CleaningSequence) -> None:
     try:
-        simulate(g, w0, seq)
+        check_cleaning(g, w0, seq)
     except InfeasibleStepError as exc:
         raise InvalidInputError(
             f"input pair does not clean the graph: {exc}"

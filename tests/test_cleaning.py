@@ -6,6 +6,7 @@ it tries every firing order, so greedy agreeing with it on random
 instances certifies that firing order never matters for success.
 """
 
+from collections import deque
 from itertools import combinations, permutations
 
 import pytest
@@ -37,7 +38,7 @@ from graphclean import (
     torus_sequence,
     verify_acyclic,
 )
-from graphclean.cleaning import Orientation
+from graphclean.cleaning import Orientation, check_cleaning, fire
 
 
 @st.composite
@@ -157,6 +158,58 @@ def test_simulation_conserves_brushes(gs):
     assert sum(trace.final_brushes) == w0.total
     cleaned = [e for step in trace.steps for e in step.cleaned_edges]
     assert sorted(cleaned) == g.edges()
+
+
+
+def _reference_run(g, w0, seq):
+    """Fire seq by counting alone: a vertex holds its brushes plus one per
+    earlier neighbour and owes one per later neighbour.  Returns the
+    first short (vertex, have, need), or None, and the final brushes."""
+    pos = {v: k for k, v in enumerate(seq)}
+    earlier = [sum(1 for u in g.adjacency[v] if pos[u] < pos[v]) for v in range(g.vertex_count)]
+    short = next(
+        (
+            (v, w0[v] + earlier[v], g.degree(v) - earlier[v])
+            for v in seq
+            if w0[v] + earlier[v] < g.degree(v) - earlier[v]
+        ),
+        None,
+    )
+    final = tuple(w0[v] + 2 * earlier[v] - g.degree(v) for v in range(g.vertex_count))
+    return short, final
+
+
+@given(graph_with_sequence(max_vertices=9), st.booleans(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_firing_paths_agree(gs, stocked, data):
+    # stocked configs add to the sequence's minimal config and always
+    # clean; the others are drawn freely and mostly stop at a short vertex
+    g, seq = gs
+    floor = minimal_config_for_sequence(g, seq).counts if stocked else (0,) * g.vertex_count
+    w0 = BrushConfig(
+        tuple(
+            floor[v] + data.draw(st.integers(0, max(1, g.degree(v))), label=f"w0[{v}]")
+            for v in range(g.vertex_count)
+        )
+    )
+    short, final = _reference_run(g, w0, seq)
+    brushes = list(w0.counts)
+    runs = [
+        lambda: check_cleaning(g, w0, seq),
+        lambda: deque(fire(g, brushes, seq), maxlen=0),
+        lambda: simulate(g, w0, seq),
+    ]
+    if short is None:
+        for run in runs:
+            run()
+        assert tuple(brushes) == simulate(g, w0, seq).final_brushes == final
+        assert can_clean(g, w0)[0]
+    else:
+        assert not stocked
+        for run in runs:
+            with pytest.raises(InfeasibleStepError) as info:
+                run()
+            assert (info.value.vertex, info.value.have, info.value.need) == short
 
 
 def test_config_rejects_negative():

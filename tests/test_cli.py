@@ -263,6 +263,33 @@ def test_verify_infeasible_sequence_reports_vertex(tmp_path, capsys):
     assert "feasible=false" in out and "failed_vertex=2" in out
 
 
+
+def test_verify_sequence_text_is_pinned(tmp_path, capsys):
+    # C4 is the cycle 0-1-2-3-0; firing 2 first cleans 1-2 (neighbour
+    # below the fired vertex) and 2-3, and 0 fires last with nothing dirty
+    graph = tmp_path / "c4.graph"
+    config = tmp_path / "c4.config"
+    seq = tmp_path / "c4.sequence"
+    run(capsys, "gen", "cycle", "4", "-o", str(graph))
+    config.write_text("b 4\n2 2\n")
+    seq.write_text("s 4\n2 1 3 0\n")
+    code, out, _ = run(capsys, "verify", str(graph), str(config), "--sequence", str(seq))
+    assert code == 0
+    assert out == (
+        "step=1 vertex=2 before=2 cleaned=1-2,2-3 sent=1,3\n"
+        "step=2 vertex=1 before=1 cleaned=0-1 sent=0\n"
+        "step=3 vertex=3 before=1 cleaned=0-3 sent=0\n"
+        "step=4 vertex=0 before=2 cleaned=- sent=-\n"
+        "feasible=true\n"
+        "total=2\n"
+    )
+
+    config.write_text("b 4\n2 1\n3 1\n")
+    code, out, _ = run(capsys, "verify", str(graph), str(config), "--sequence", str(seq))
+    assert code == 1
+    assert out == "feasible=false\nfailed_vertex=2 have=1 need=2\n"
+
+
 # --------------------------------------------------------------- reduce
 
 def test_reduce_torus_rows_from_optimal(tmp_path, capsys):
