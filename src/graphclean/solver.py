@@ -11,8 +11,10 @@ its reverse cost the same, so the cheapest order that cleans S first
 costs f(S) + f(V - S) - e(S, V - S): S in its cheapest order, then the
 reverse of V - S's.  The DP fills f only up to ceil(n/2) vertices and
 takes the minimum of that sum over the sets of floor(n/2) vertices.
-The branch-and-bound explores prefixes directly and is useful past the
-DP's memory reach.
+It skips every set whose f plus the parity bound on the rest (Messinger,
+Nowakowski and Pralat, TCS 2008) exceeds the greedy order's cost: such
+a set cannot tie an optimum.  The branch-and-bound explores prefixes
+directly and is useful past the DP's memory reach.
 """
 
 from __future__ import annotations
@@ -52,13 +54,15 @@ ORBIT_MIN_GROUP = 8
 # and 3.2 s with all; K7xP4 (|A| = 10080) 9.7 s with 2048, 6.4 s with all.
 ORBIT_MAX_GROUP = 2048
 # Peak bytes per subset state in brush_number_dp, traced at 16 vertices
-# (10.1): the uint8 popcount (1) and int16 table f (2) span every subset;
-# the rest is one pass over the widest layer, a fifth of the subsets at
-# about 36 bytes a set for its int32 masks, running minimum, gathers and
-# temporaries.  That layer's share shrinks as n grows (9.2 at 20).
-DP_BYTES_PER_STATE = 11
+# where nothing is pruned (12.0 on the edgeless graph and K16): the int16
+# tables f and deficit (4) span every subset, the rest is the reached
+# layers and one chunk of DP_CHUNK_ROWS sets (1024 to 8192 time alike;
+# fewer use less).  That share shrinks as n grows (9.3 at 20, 9.1 at 22).
+DP_BYTES_PER_STATE = 13
+DP_CHUNK_ROWS = 1024
 
 _INF = 1 << 28
+_UNREACHED = np.iinfo(np.int16).max // 2
 
 
 @dataclass(frozen=True)
@@ -84,16 +88,6 @@ def parity_lower_bound(g: Graph) -> int:
     vertex with out- and in-degree apart by at least one."""
     odd = sum(1 for v in range(g.vertex_count) if g.degree(v) % 2)
     return (odd + 1) // 2
-
-
-def _members(sets: np.ndarray, k: int):
-    """k passes over bitmasks of k members each; pass i yields every
-    set's i-th lowest member v, as the bit 1 << v and as v."""
-    t = sets.copy()
-    for _ in range(k):
-        low = t & -t
-        t ^= low
-        yield low, np.bitwise_count(low - 1)
 
 
 def _walk_back(f: np.ndarray, s: int, masks: list[int], degs: list[int]) -> list[int]:
@@ -127,6 +121,17 @@ def brush_number_dp(
     f(S) + f(V - S) - cut(S), the lowest such mask winning a tie.  The
     witness is S's order followed by the reverse of V - S's order, each
     rebuilt from the table breaking ties toward the lowest vertex id.
+
+    A set S is kept, and pushed to each S | u, only if f(S) + LB(S) <=
+    cap, the greedy order's cost; LB(S) = max(0, ceil(deficit(S) / 2)),
+    deficit(S) the odd-degree vertices outside S minus cut(S).  Others
+    hold _UNREACHED.  Adding u lowers LB by at most u's cost, so f + LB
+    never falls along a cheapest chain and every kept set has its exact
+    f; both halves of an optimal order have f + LB <= b(G) <= cap.  So
+    each optimal split and walk-back step is on exact entries, one through
+    an unreached set costs more, and the output is that of the full
+    table.  states is still the table size 2^|V|.
+
     Memory grows as 2^|V| (about DP_BYTES_PER_STATE bytes per subset);
     instances above max_vertices or memory_limit_mb are refused.
     """
@@ -142,31 +147,41 @@ def brush_number_dp(
     masks, degs = _adjacency_masks(g)
     marr = np.array(masks, dtype=np.int32)
     darr = np.array(degs, dtype=np.int16)
+    odd = darr & 1
+    bits = np.left_shift(1, np.arange(n, dtype=np.int32))
     size = 1 << n
     half = n // 2
-    popcnt = np.bitwise_count(np.arange(size, dtype=np.int32))
-    # f(S) <= sum of degrees < 2^15 and 2*|N(v) & S| < 2^8 fit the int16
-    # table and uint8 counts; sets above ceil(n/2) are never written
-    f = np.empty(size, dtype=np.int16)
-    f[0] = 0
+    cap = _greedy_order(n, masks, degs)[1]
+    # f(S) <= cap < _UNREACHED and 2*|N(v) & S| < 2^8 fit the int16
+    # table and uint8 counts; deficit(S) is written once S is reached
+    f = np.full(size, _UNREACHED, dtype=np.int16)
+    deficit = np.empty(size, dtype=np.int16)
+    f[0], deficit[0] = 0, odd.sum()
+    layer = halves = np.zeros(1, dtype=np.int32)
     for k in range(1, n - half + 1):
-        layer = np.flatnonzero(popcnt == k).astype(np.int32)
-        best = np.full(layer.size, np.iinfo(np.int16).max, dtype=np.int16)
-        for low, v in _members(layer, k):
-            # N(v) misses v, so N(v) & (S - v) = N(v) & S; np.take
-            # gathers faster than indexing with a non-intp index
-            cost = np.take(darr, v) - 2 * np.bitwise_count(layer & np.take(marr, v))
-            np.maximum(cost, 0, out=cost)
-            cost += np.take(f, layer ^ low)
-            np.minimum(best, cost, out=best)
-        f[layer] = best
-    halves = np.flatnonzero(popcnt == half).astype(np.int32)
-    del popcnt
+        fresh = []
+        for lo in range(0, layer.size, DP_CHUNK_ROWS):
+            s = layer[lo : lo + DP_CHUNK_ROWS, None]
+            marg = darr - 2 * np.bitwise_count(s & marr)
+            cost = np.maximum(marg, 0) + np.take(f, s)
+            child_deficit = np.take(deficit, s) - odd - marg
+            bound = np.maximum(child_deficit + 1 >> 1, 0) + cost
+            # flat indices: a 2-d boolean index gathers about 5x slower
+            keep = np.flatnonzero((bound <= cap) & (s & bits == 0))
+            child = np.take(s | bits, keep)
+            new = np.take(f, child) == _UNREACHED
+            fresh.append(child[new])
+            deficit[fresh[-1]] = np.take(child_deficit, keep[new])
+            np.minimum.at(f, child, np.take(cost, keep))
+        # the reached sets, ascending; np.unique is 40x slower at 2M
+        layer = np.sort(np.concatenate(fresh))
+        layer = layer[np.r_[True, layer[1:] != layer[:-1]]]
+        if k == half:
+            halves = layer
 
-    # cut(S) = sum over v in S of deg(v) - |N(v) & S|
-    cut = np.zeros(halves.size, dtype=np.int16)
-    for _, v in _members(halves, half):
-        cut += np.take(darr, v) - np.bitwise_count(halves & np.take(marr, v))
+    # reached halves only; cut(S) = odd-degree vertices outside S minus deficit(S)
+    oddmask = sum(1 << v for v in range(n) if degs[v] % 2)
+    cut = np.bitwise_count(~halves & oddmask) - np.take(deficit, halves)
     total = np.take(f, halves) + np.take(f, (size - 1) ^ halves) - cut
     pick = int(np.argmin(total))
     value = int(total[pick])

@@ -207,6 +207,62 @@ def test_witness_rescores_on_products(family, m, n):
     assert minimal_config_for_sequence(g, result.witness).total == result.value
 
 
+# ------------------------------------- pruned DP against the unpruned one
+
+def unpruned_half_dp(g):
+    """(value, order) of the half-depth DP with every set of at most
+    ceil(n/2) vertices filled: the lowest mask wins the split, and the
+    walk-back takes off the lowest vertex id that the table accounts for."""
+    n = g.vertex_count
+    nbrs = [sum(1 << u for u in g.adjacency[v]) for v in range(n)]
+    full, half = (1 << n) - 1, n // 2
+
+    def step(v, s):
+        return max(0, g.degree(v) - 2 * (nbrs[v] & s).bit_count())
+
+    f = {0: 0}
+    for s in range(1, full + 1):
+        if s.bit_count() <= n - half:
+            f[s] = min(f[s ^ 1 << v] + step(v, s ^ 1 << v) for v in range(n) if s >> v & 1)
+
+    def cut(s):
+        return sum((nbrs[v] & ~s).bit_count() for v in range(n) if s >> v & 1)
+
+    value, s = min(
+        (f[s] + f[full ^ s] - cut(s), s) for s in range(full + 1) if s.bit_count() == half
+    )
+
+    def walk_back(s):
+        seq = []
+        while s:
+            seq.append(next(
+                v for v in range(n)
+                if s >> v & 1 and f[s] == f[s ^ 1 << v] + step(v, s ^ 1 << v)
+            ))
+            s ^= 1 << seq[-1]
+        return seq
+
+    return value, tuple(walk_back(s)[::-1] + walk_back(full ^ s))
+
+
+def test_pruned_dp_matches_unpruned_seeded():
+    # the edgeless graph and K9 prune nothing and their greedy order is
+    # optimal; the BAD_HINT_EDGES graph's greedy order costs 8 > b = 7
+    cases = [graph_from_edges(10, []), make_clique(9), graph_from_edges(10, BAD_HINT_EDGES)]
+    rng = random.Random(13)
+    cases += [random_graph(rng, n, p) for n in range(11) for p in (0.2, 0.4, 0.6, 0.8)]
+    for g in cases:
+        result = brush_number_dp(g)
+        assert (result.value, result.witness.order) == unpruned_half_dp(g)
+
+
+@given(graphs(max_vertices=10))
+@settings(max_examples=80, deadline=None)
+def test_pruned_dp_matches_unpruned(g):
+    result = brush_number_dp(g)
+    assert (result.value, result.witness.order) == unpruned_half_dp(g)
+
+
 # ------------------------------------------------------------ size guards
 
 def test_dp_cap():
@@ -223,15 +279,19 @@ def test_dp_memory_guard():
 
 
 def test_dp_memory_estimate_bounds_traced_peak():
-    g = make_cycle(16)
-    tracemalloc.start()
-    try:
-        brush_number_dp(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # the edgeless graph and K16 prune nothing, the worst case; C16
+    # prunes most sets
     estimate = solver.DP_BYTES_PER_STATE << 16
-    assert estimate // 2 <= peak <= estimate
+    cases = [(graph_from_edges(16, []), True), (make_clique(16), True), (make_cycle(16), False)]
+    for g, worst in cases:
+        tracemalloc.start()
+        try:
+            brush_number_dp(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimate
+        assert peak >= estimate // 2 or not worst
 
 
 def test_brute_cap():
