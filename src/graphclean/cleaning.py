@@ -182,7 +182,7 @@ def fire(
     adjacency = g.adjacency
     cleaned = [False] * g.vertex_count
     for v in seq:
-        dirty = sorted([u for u in adjacency[v] if not cleaned[u]])
+        dirty = [u for u in adjacency[v] if not cleaned[u]]
         have, need = brushes[v], len(dirty)
         if have < need:
             raise InfeasibleStepError(v, have, need)
@@ -258,7 +258,7 @@ def cleaning_order(
 
 def parse_brush_config(text: str) -> BrushConfig:
     """Parse the config format: "b N" header, then "v count" lines."""
-    lines, vertex_count = _read_header(text, "b")
+    lines, vertex_count, _ = _read_header(text, "b")
 
     counts = [0] * vertex_count
     seen: set[int] = set()
@@ -289,7 +289,7 @@ def serialize_brush_config(w0: BrushConfig) -> str:
 
 def parse_sequence(text: str) -> CleaningSequence:
     """Parse the sequence format: "s N" header, then whitespace-separated ids."""
-    lines, vertex_count = _read_header(text, "s")
+    lines, vertex_count, _ = _read_header(text, "s")
 
     ids: list[int] = []
     seen: set[int] = set()

@@ -129,6 +129,13 @@ def _parse_factor(spec: str) -> tuple[str, Graph]:
     return label.format(k), entry.build(k)
 
 
+def _check_timeout(seconds: float) -> None:
+    if not seconds >= 0:  # also refuses NaN, which no deadline check would ever pass
+        raise InvalidParameterError(
+            f"--timeout must be a non-negative number of seconds, got {seconds}"
+        )
+
+
 def _write_cleaning(prefix: str, g: Graph, w0: BrushConfig, seq: CleaningSequence) -> None:
     """Write a cleaning as prefix.graph, prefix.config and prefix.sequence."""
     for suffix, text in (
@@ -166,6 +173,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- solve
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    _check_timeout(args.timeout)
     g = _load(parse_edge_list, args.graph)
     if args.method == "dp":
         result = brush_number_dp(g, max_vertices=args.max_dp_vertices)
@@ -398,6 +406,7 @@ def _render_table(rows: list[dict[str, str]]) -> str:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    _check_timeout(args.timeout)
     suite = args.suite
     cap = args.max_dp_vertices
     if suite == "box":

@@ -8,8 +8,13 @@ simple graphs is simple by construction.
 
 from __future__ import annotations
 
+import io
+import re
 import time
+import warnings
+from bisect import bisect
 from dataclasses import dataclass
+from itertools import accumulate, pairwise
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -19,10 +24,11 @@ from .errors import InvalidParameterError, ParseError
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph as a tuple of neighbour sets."""
+    """Undirected simple graph: adjacency[v] is the tuple of v's
+    neighbours in ascending order."""
 
     vertex_count: int
-    adjacency: tuple[frozenset[int], ...]
+    adjacency: tuple[tuple[int, ...], ...]
 
     @property
     def edge_count(self) -> int:
@@ -36,14 +42,7 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (min, max) pairs in sorted order."""
-        out = [
-            (u, v)
-            for u in range(self.vertex_count)
-            for v in self.adjacency[u]
-            if u < v
-        ]
-        out.sort()
-        return out
+        return [(u, v) for u, nbrs in enumerate(self.adjacency) for v in nbrs if u < v]
 
     def vertices(self) -> range:
         return range(self.vertex_count)
@@ -57,40 +56,66 @@ def graph_from_edges(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Gra
     """
     if vertex_count < 0:
         raise InvalidParameterError(f"vertex count must be non-negative, got {vertex_count}")
-    nbrs: list[set[int]] = [set() for _ in range(vertex_count)]
-    for u, v in edges:
-        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-            raise InvalidParameterError(
-                f"edge ({u}, {v}) leaves the vertex range 0..{vertex_count - 1}"
-            )
-        if u == v:
-            raise InvalidParameterError(f"self-loop at vertex {u}")
-        if v in nbrs[u]:
-            raise InvalidParameterError(f"duplicate edge ({u}, {v})")
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    return Graph(vertex_count, tuple(frozenset(s) for s in nbrs))
+    pairs = list(edges)
+    try:
+        ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:  # an endpoint past int64, so out of range
+        ends = None
+    adjacency = None if ends is None else _arc_adjacency(vertex_count, ends)
+    if adjacency is None:
+        # name the first bad edge
+        seen = set()
+        for u, v in pairs:
+            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+                raise InvalidParameterError(
+                    f"edge ({u}, {v}) leaves the vertex range 0..{vertex_count - 1}"
+                )
+            if u == v:
+                raise InvalidParameterError(f"self-loop at vertex {u}")
+            edge = (u, v) if u < v else (v, u)
+            if edge in seen:
+                raise InvalidParameterError(f"duplicate edge ({u}, {v})")
+            seen.add(edge)
+    return Graph(vertex_count, adjacency)
+
+
+def _arc_adjacency(vertex_count: int, ends: np.ndarray) -> tuple[tuple[int, ...], ...] | None:
+    """Ascending neighbour tuples of the graph whose edges are the rows
+    (u, v) of the int64 array ends, or None if a row is a self-loop,
+    leaves 0..vertex_count-1 or repeats another row in either order."""
+    # viewed as unsigned, a negative end lies past every vertex count
+    if len(ends) and ends.view(np.uint64).max() >= vertex_count:
+        return None
+    # arc keys tail * n + head for both directions: sorted, they list the
+    # tails in order and each tail's heads ascending; a repeated key is a
+    # repeated edge or a self-loop
+    arcs = np.sort((ends * vertex_count + ends[:, ::-1]).ravel())
+    if (arcs[1:] == arcs[:-1]).any():
+        return None
+    heads = (arcs % vertex_count).tolist()
+    bounds = [0, *accumulate(np.bincount(ends.ravel(), minlength=vertex_count).tolist())]
+    return tuple(tuple(heads[a:b]) for a, b in pairwise(bounds))
 
 
 def make_path(k: int) -> Graph:
     """Path on k >= 1 vertices, edges i-(i+1)."""
     if k < 1:
         raise InvalidParameterError(f"path needs at least 1 vertex, got {k}")
-    return graph_from_edges(k, ((i, i + 1) for i in range(k - 1)))
+    return Graph(k, tuple(tuple(u for u in (v - 1, v + 1) if 0 <= u < k) for v in range(k)))
 
 
 def make_cycle(k: int) -> Graph:
     """Cycle on k >= 3 vertices."""
     if k < 3:
         raise InvalidParameterError(f"cycle needs at least 3 vertices, got {k}")
-    return graph_from_edges(k, [(i, (i + 1) % k) for i in range(k)])
+    return Graph(k, tuple(tuple(sorted([(v - 1) % k, (v + 1) % k])) for v in range(k)))
 
 
 def make_clique(k: int) -> Graph:
     """Complete graph on k >= 1 vertices."""
     if k < 1:
         raise InvalidParameterError(f"clique needs at least 1 vertex, got {k}")
-    return graph_from_edges(k, ((u, v) for u in range(k) for v in range(u + 1, k)))
+    return Graph(k, tuple(tuple(u for u in range(k) if u != v) for v in range(k)))
 
 
 def is_connected(g: Graph) -> bool:
@@ -131,7 +156,7 @@ def automorphisms(g: Graph, limit: int, deadline: float | None = None) -> np.nda
             break
         colour = [ids[s] for s in sig]
     adj = [sum(1 << u for u in nbrs) for nbrs in g.adjacency]
-    nbrs = [sorted(a) for a in g.adjacency]
+    nbrs = g.adjacency
     order: list[int] = []
     parent: list[int] = []  # position of the BFS parent, -1 for a root
     pos = [-1] * n
@@ -227,33 +252,54 @@ def cartesian_product(g: Graph, h: Graph) -> tuple[Graph, ProductLabeling]:
     Vertex (i, j) is adjacent to (i', j) when i~i' in g and to (i, j')
     when j~j' in h.  Returns the product plus the coordinate labeling.
     """
-    # a product of simple graphs is simple, so no edge needs validating
+    # a product of simple graphs is simple, so no edge needs validating;
+    # (i, j)'s neighbours k*n + j with k < i, then the row i*n + k, then
+    # those with k > i, are already ascending
     n = h.vertex_count
     adjacency = []
     for i, left in enumerate(g.adjacency):
-        column_ids = [k * n for k in left]
+        split = bisect(left, i)
+        below = [k * n for k in left[:split]]
+        above = [k * n for k in left[split:]]
         row = i * n
         for j, right in enumerate(h.adjacency):
-            adjacency.append(frozenset([c + j for c in column_ids] + [row + k for k in right]))
+            adjacency.append(
+                tuple([c + j for c in below] + [row + k for k in right] + [c + j for c in above])
+            )
     return Graph(g.vertex_count * n, tuple(adjacency)), ProductLabeling(g.vertex_count, n)
 
 
-def _data_lines(text: str) -> Iterator[tuple[int, str]]:
-    # strips comments ('#' to end of line) and blank lines, keeps 1-based numbers
-    for no, raw in enumerate(text.splitlines(), start=1):
+# the line breaks of str.splitlines, and those of them in ASCII that
+# numpy's text reader does not break on (it refuses a lone "\r" and
+# reads the others as blanks)
+_LINE_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
+_NOT_NUMPY_BREAK = re.compile("\r(?!\n)|[\x0b\x0c\x1c-\x1e]")
+
+
+def _data_lines(text: str, start: int, no: int) -> Iterator[tuple[int, str]]:
+    # the lines from offset start on, numbered from no + 1, without
+    # comments ('#' to end of line) and blank lines
+    for no, raw in enumerate(text[start:].splitlines(), start=no + 1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield no, line
 
 
-def _read_header(text: str, tag: str) -> tuple[Iterator[tuple[int, str]], int]:
-    """Check the "<tag> N" header of a text format; return the remaining
-    numbered data lines and N."""
-    lines = _data_lines(text)
-    try:
-        no, header = next(lines)
-    except StopIteration:
-        raise ParseError(1, f"missing '{tag} <vertex_count>' header") from None
+def _read_header(text: str, tag: str) -> tuple[Iterator[tuple[int, str]], int, int]:
+    """Check the "<tag> N" header of a text format; return the numbered
+    data lines after it, N and the offset where the header's next line
+    starts.  Lines break where str.splitlines breaks them; the text is
+    split no further than the header here."""
+    no = start = 0
+    header = ""
+    while not header:
+        if start == len(text):
+            raise ParseError(1, f"missing '{tag} <vertex_count>' header")
+        brk = _LINE_BREAK.search(text, start)
+        end, nxt = brk.span() if brk else (len(text), len(text))
+        no += 1
+        header = text[start:end].split("#", 1)[0].strip()
+        start = nxt
     parts = header.split()
     if len(parts) != 2 or parts[0] != tag:
         raise ParseError(no, f"expected '{tag} <vertex_count>', got {header!r}")
@@ -263,14 +309,34 @@ def _read_header(text: str, tag: str) -> tuple[Iterator[tuple[int, str]], int]:
         raise ParseError(no, f"vertex count {parts[1]!r} is not an integer") from None
     if vertex_count < 0:
         raise ParseError(no, f"vertex count must be non-negative, got {vertex_count}")
-    return lines, vertex_count
+    return _data_lines(text, start, no), vertex_count, start
 
 
-def parse_edge_list(text: str) -> Graph:
-    """Parse the edge-list format: a "p N" header, then one "u v" line per edge."""
-    lines, vertex_count = _read_header(text, "p")
+def _bulk_edges(text: str, body: int) -> np.ndarray | None:
+    """The "u v" lines from offset body on as an (E, 2) int64 array, read
+    in one numpy pass; None where that read refuses the text or could
+    split its lines differently from str.splitlines.
 
-    nbrs: list[set[int]] = [set() for _ in range(vertex_count)]
+    Only ASCII text is read this way: numpy 2.4's loadtxt turns some
+    non-ASCII tokens into arbitrary integers, or crashes, instead of
+    refusing them.
+    """
+    if not text.isascii() or _NOT_NUMPY_BREAK.search(text, body):
+        return None
+    stream = io.StringIO(text)
+    stream.seek(body)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            ends = np.loadtxt(stream, dtype=np.int64, comments="#", ndmin=2)
+    except ValueError:
+        return None
+    return ends.reshape(-1, 2) if ends.size == 0 or ends.shape[1] == 2 else None
+
+
+def _line_edges(lines: Iterator[tuple[int, str]], vertex_count: int) -> np.ndarray:
+    # one line at a time: raises ParseError at the first bad line
+    seen: set[tuple[int, int]] = set()
     for no, line in lines:
         parts = line.split()
         if len(parts) != 2:
@@ -283,11 +349,27 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(no, f"self-loop at vertex {u}")
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             raise ParseError(no, f"edge ({u}, {v}) leaves the vertex range")
-        if v in nbrs[u]:
+        edge = (u, v) if u < v else (v, u)
+        if edge in seen:
             raise ParseError(no, f"duplicate edge ({u}, {v})")
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    return Graph(vertex_count, tuple(frozenset(s) for s in nbrs))
+        seen.add(edge)
+    return np.array(list(seen), dtype=np.int64).reshape(-1, 2)
+
+
+def parse_edge_list(text: str) -> Graph:
+    """Parse the edge-list format: a "p N" header, then one "u v" line per edge.
+
+    The lines after the header are read in one numpy pass.  They are read
+    one at a time instead when that pass refuses them or could misread
+    them (see _bulk_edges), or when the graph it gives is refused; that
+    loop names the first bad line.
+    """
+    lines, vertex_count, body = _read_header(text, "p")
+    ends = _bulk_edges(text, body)
+    adjacency = None if ends is None else _arc_adjacency(vertex_count, ends)
+    if adjacency is None:
+        adjacency = _arc_adjacency(vertex_count, _line_edges(lines, vertex_count))
+    return Graph(vertex_count, adjacency)
 
 
 def serialize_edge_list(g: Graph) -> str:

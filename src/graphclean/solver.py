@@ -36,7 +36,6 @@ from .graphs import (
     Graph,
     automorphisms,
     cartesian_product,
-    graph_from_edges,
     is_connected,
 )
 
@@ -429,6 +428,9 @@ def check_box_conjecture(
         for p in permutations(range(m))
     ]
 
+    # adjacent[v][u]: the bit of the pair {u, v}, 0 for u == v
+    adjacent = [[bit.get((min(u, v), max(u, v)), 0) for u in range(m)] for v in range(m)]
+
     def edges_of(bits: int) -> tuple[tuple[int, int], ...]:
         return tuple(pair for i, pair in enumerate(pairs) if bits >> i & 1)
 
@@ -437,7 +439,8 @@ def check_box_conjecture(
     for bits in range(1 << len(pairs)):
         if bits in values:
             continue
-        left = graph_from_edges(m, edges_of(bits))
+        # the pairs are distinct and in range: no edge needs validating
+        left = Graph(m, tuple(tuple(u for u in range(m) if bits & adjacent[v][u]) for v in range(m)))
         value = None
         if is_connected(left):
             product, _ = cartesian_product(left, h)

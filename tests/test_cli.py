@@ -161,6 +161,18 @@ def test_solve_bnb_timeout_prints_proven_lower_bound(tmp_path, capsys):
     assert 4 <= int(pairs["lower_bound"]) <= 20 <= int(pairs["value"])
 
 
+@pytest.mark.parametrize("command", [["solve", "{graph}", "--method", "bnb"], ["report", "torus"]])
+@pytest.mark.parametrize("timeout", ["nan", "-1", "-inf"])
+def test_bad_timeout_is_rejected(tmp_path, capsys, command, timeout):
+    # no deadline check ever passes a NaN deadline, so the search would never stop
+    path = tmp_path / "k2.graph"
+    path.write_text("p 2\n0 1\n")
+    argv = [a.format(graph=path) for a in command]
+    code, out, err = run(capsys, *argv, f"--timeout={timeout}")
+    assert code == 2 and out == ""
+    assert "--timeout must be a non-negative number of seconds" in err
+
+
 def test_solve_bnb_low_hint_prints_hint_plus_one(tmp_path, capsys):
     # b(C4 x C5) = 14: a search that finds nothing at most 13 proves 14
     path = tmp_path / "t45.graph"

@@ -105,6 +105,7 @@ def test_product_matches_edge_construction(g, h):
     prod, lab = cartesian_product(g, h)
     assert prod == graph_from_edges(g.vertex_count * n, edges)
     assert lab == ProductLabeling(g.vertex_count, n)
+    assert _ascending(prod)
 
 
 @given(graphs(max_vertices=6), graphs(max_vertices=4))
@@ -159,9 +160,123 @@ def test_parse_rejects_reversed_duplicate():
     assert info.value.message == "duplicate edge (1, 0)"
 
 
+def _ascending(g):
+    edges = g.edges()
+    return all(list(nbrs) == sorted(set(nbrs)) for nbrs in g.adjacency) and edges == sorted(edges)
+
+
 @given(graphs())
 def test_edge_list_round_trip(g):
     assert parse_edge_list(serialize_edge_list(g)) == g
+    assert _ascending(g)
+
+
+def _parse_by_lines(text):
+    """The edge-list reader as a plain line loop over str.splitlines()."""
+    lines = []
+    for no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            lines.append((no, line))
+    if not lines:
+        raise ParseError(1, "missing 'p <vertex_count>' header")
+    (no, header), body = lines[0], lines[1:]
+    parts = header.split()
+    if len(parts) != 2 or parts[0] != "p":
+        raise ParseError(no, f"expected 'p <vertex_count>', got {header!r}")
+    try:
+        n = int(parts[1])
+    except ValueError:
+        raise ParseError(no, f"vertex count {parts[1]!r} is not an integer") from None
+    if n < 0:
+        raise ParseError(no, f"vertex count must be non-negative, got {n}")
+    nbrs = [set() for _ in range(n)]
+    for no, line in body:
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(no, f"expected 'u v', got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(no, f"non-integer endpoint in {line!r}") from None
+        if u == v:
+            raise ParseError(no, f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParseError(no, f"edge ({u}, {v}) leaves the vertex range")
+        if v in nbrs[u]:
+            raise ParseError(no, f"duplicate edge ({u}, {v})")
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return n, [sorted(s) for s in nbrs]
+
+
+@st.composite
+def _tokens(draw, n):
+    x = draw(st.integers(-1, n + 1))
+    return draw(
+        st.sampled_from(
+            [
+                str(x),
+                f"+{x}",
+                f"0_{x}",
+                str(x).translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+                str(2**63 + x),
+                "x",
+            ]
+        )
+    )
+
+
+@st.composite
+def _edge_list_texts(draw):
+    n = draw(st.integers(1, 6))
+    plain = draw(st.booleans())  # texts that the bulk read takes, up to a bad edge
+    breaks = st.sampled_from(
+        ["\n"] if plain else ["\n", "\r\n", "\x0b", "\x0c", "\x85", "\u2028"]
+    )
+    # mostly edges in range, so that duplicates come up
+    ends = st.sampled_from([*range(n)] * 4 + [-1, n]).map(str) if plain else _tokens(n)
+    edge = st.tuples(ends, ends).map(" ".join)
+    line = st.one_of(
+        edge,
+        edge,
+        edge,
+        st.tuples(ends, ends).map(lambda e: f"{e[0]}\t{e[1]}  # c"),
+        st.lists(ends, min_size=1, max_size=3).map(" ".join),
+        st.sampled_from(["", "# comment", "  "]),
+    )
+    lead = draw(st.lists(st.sampled_from(["", "# head", " "]), max_size=2))
+    header = draw(st.sampled_from([f"p {n}"] * 12 + ["p 0", "p -1", "q 3", "p"]))
+    body = draw(st.lists(line, max_size=10))
+    lines = lead + [header] + body
+    seps = [draw(breaks) for _ in lines]
+    return "".join(text + sep for text, sep in zip(lines, seps))[: None if draw(st.booleans()) else -1]
+
+
+@given(_edge_list_texts())
+@settings(max_examples=400)
+def test_bulk_read_matches_line_reading(text):
+    try:
+        n, nbrs = _parse_by_lines(text)
+    except ParseError as expected:
+        with pytest.raises(ParseError) as info:
+            parse_edge_list(text)
+        assert (info.value.line_no, info.value.message) == (expected.line_no, expected.message)
+    else:
+        g = parse_edge_list(text)
+        assert g.vertex_count == n and [list(a) for a in g.adjacency] == nbrs
+
+
+def test_bulk_read_skips_the_line_loop(monkeypatch):
+    import graphclean.graphs as graphs_module
+
+    def refuse(lines, vertex_count):
+        raise AssertionError("read line by line")
+
+    monkeypatch.setattr(graphs_module, "_line_edges", refuse)
+    text = "# made by hand\r\np 4\r\n0 1\r\n3 1 # inline\r\n\r\n+2 0\r\n"
+    assert parse_edge_list(text).edges() == [(0, 1), (0, 2), (1, 3)]
+    assert parse_edge_list("p 0\n").vertex_count == 0
 
 
 def test_serialize_sorted_canonical():
