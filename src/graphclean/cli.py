@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -136,6 +135,11 @@ def _check_timeout(seconds: float) -> None:
         )
 
 
+def _check_minimum(option: str, value: int, low: int) -> None:
+    if value < low:
+        raise InvalidParameterError(f"{option} must be at least {low}, got {value}")
+
+
 def _write_cleaning(prefix: str, g: Graph, w0: BrushConfig, seq: CleaningSequence) -> None:
     """Write a cleaning as prefix.graph, prefix.config and prefix.sequence."""
     for suffix, text in (
@@ -174,6 +178,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     _check_timeout(args.timeout)
+    _check_minimum("--max-dp-vertices", args.max_dp_vertices, 0)
     g = _load(parse_edge_list, args.graph)
     if args.method == "dp":
         result = brush_number_dp(g, max_vertices=args.max_dp_vertices)
@@ -407,6 +412,8 @@ def _render_table(rows: list[dict[str, str]]) -> str:
 
 def cmd_report(args: argparse.Namespace) -> int:
     _check_timeout(args.timeout)
+    _check_minimum("--max-dp-vertices", args.max_dp_vertices, 0)
+    _check_minimum("--jobs", args.jobs, 1)
     suite = args.suite
     cap = args.max_dp_vertices
     if suite == "box":
@@ -437,6 +444,8 @@ def cmd_report(args: argparse.Namespace) -> int:
             tasks = [partial(_family_row, suite, m, n, cap, args.timeout) for m, n in instances]
 
     if args.jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = [future.result() for future in [pool.submit(t) for t in tasks]]
     else:
@@ -473,7 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=[*cons.FAMILIES, "product"])
     p.add_argument("params", nargs="*")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("solve", help="exact brush number of an edge-list file")
     p.add_argument("graph")
@@ -481,19 +489,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-dp-vertices", type=int, default=DEFAULT_DP_CAP)
     p.add_argument("--timeout", type=float, default=60.0)
     p.add_argument("--upper-hint", type=int, default=None)
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("config", help="closed-form configuration for a family")
     p.add_argument("family", choices=[k for k, f in cons.FAMILIES.items() if f.config])
     p.add_argument("params", nargs="*")
     p.add_argument("--out-prefix")
-    p.set_defaults(func=cmd_config)
 
     p = sub.add_parser("verify", help="check a configuration, with or without a sequence")
     p.add_argument("graph")
     p.add_argument("config")
     p.add_argument("--sequence")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("reduce", help="merge torus rows or delete a clique layer")
     p.add_argument("kind", choices=["torus-rows", "clique-layer"])
@@ -503,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sequence", required=True)
     p.add_argument("--row", type=int, default=None)
     p.add_argument("--out-prefix")
-    p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("report", help="closed forms against exact values, per suite")
     products = [k for k, f in cons.FAMILIES.items() if f.arity == 2]
@@ -516,15 +520,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--max-dp-vertices", type=int, default=DEFAULT_DP_CAP)
     p.add_argument("--timeout", type=float, default=60.0)
-    p.set_defaults(func=cmd_report)
 
     return parser
 
 
+_parser = cache(build_parser)  # built once per process; main may run many times
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up at call time, so a handler replaced on this module is the one that runs
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except GraphCleanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

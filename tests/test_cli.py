@@ -1,5 +1,9 @@
 """End-to-end runs of the command line through main()."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from graphclean import (
@@ -192,6 +196,54 @@ def test_crash_exits_internal_error(monkeypatch, capsys):
     code, _, err = run(capsys, "solve", "any.graph")
     assert code == 5
     assert err.startswith("error: internal: RuntimeError: boom")
+
+
+@pytest.mark.parametrize("command", [["solve", "{graph}"], ["report", "torus"]])
+def test_negative_dp_cap_is_rejected(tmp_path, capsys, command):
+    # a negative cap is bad input (2), not an instance over the cap (3)
+    path = tmp_path / "c5.graph"
+    path.write_text(serialize_edge_list(make_cycle(5)))
+    argv = [a.format(graph=path) for a in command]
+    code, out, err = run(capsys, *argv, "--max-dp-vertices", "-1")
+    assert code == 2 and out == ""
+    assert "--max-dp-vertices must be at least 0, got -1" in err
+
+
+# ------------------------------------------------- many calls, one process
+
+def test_main_keeps_no_options_between_calls(tmp_path, capsys):
+    path = tmp_path / "t45.graph"
+    assert run(capsys, "gen", "torus", "4", "5", "-o", str(path))[0] == 0
+    assert run(capsys, "solve", str(path), "--method", "bnb", "--upper-hint", "13")[0] == 4
+    code, out, _ = run(capsys, "solve", str(path), "--method", "bnb")
+    assert code == 0
+    assert kv(out)["complete"] == "true" and kv(out)["value"] == "14"
+
+
+def test_main_dispatches_at_call_time(monkeypatch, capsys):
+    # the first call builds the parser; the handler is still looked up per call
+    assert run(capsys, "config", "torus", "3", "3")[0] == 0
+    seen = []
+
+    def fake_solve(args):
+        seen.append(args.graph)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_solve", fake_solve)
+    assert run(capsys, "solve", "any.graph")[0] == 0
+    assert seen == ["any.graph"]
+
+
+def test_import_leaves_out_the_process_pool():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import graphclean.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 # --------------------------------------------------------------- config
@@ -415,6 +467,13 @@ def test_report_explicit_instances_parallel(capsys):
     assert "rows=3" in out and "mismatches=0" in out
 
 
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_report_rejects_jobs_below_one(capsys, jobs):
+    code, out, err = run(capsys, "report", "torus", "--instances", "3x3", "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert f"--jobs must be at least 1, got {jobs}" in err
+
+
 def test_report_box(capsys):
     code, out, _ = run(capsys, "report", "box", "--order", "3", "--factor", "P2")
     assert code == 0
@@ -515,6 +574,14 @@ def test_report_torus_past_dp_cap(capsys):
     row = next(line for line in out.splitlines() if line.startswith("instance=C4xC7"))
     assert row.startswith("instance=C4xC7 formula=18 solver=18 match=yes method=bnb states=")
     assert out.splitlines()[-1] == "summary suite=torus rows=1 mismatches=0 skipped=0 incomplete=0"
+
+
+def test_report_dp_cap_zero_sends_every_row_to_bnb(capsys):
+    code, out, _ = run(
+        capsys, "report", "torus", "--instances", "3x3,3x4", "--max-dp-vertices", "0"
+    )
+    assert code == 0
+    assert out.count("match=yes method=bnb") == 2
 
 
 def test_report_torus_falls_back_to_bnb(capsys):
