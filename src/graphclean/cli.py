@@ -67,6 +67,14 @@ def _load(parse: Callable[[str], T], path: str) -> T:
         raise ParseError(exc.line_no, exc.message, source=path) from None
 
 
+def _save(path: str | Path, text: str) -> None:
+    """Write one output file, naming it if it cannot be written."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _fmt_config(w0: BrushConfig) -> str:
     return " ".join(f"{v}:{c}" for v, c in enumerate(w0.counts) if c) or "-"
 
@@ -148,7 +156,7 @@ def _write_cleaning(prefix: str, g: Graph, w0: BrushConfig, seq: CleaningSequenc
         (".sequence", serialize_sequence(seq, g.vertex_count)),
     ):
         path = Path(prefix + suffix)
-        path.write_text(text)
+        _save(path, text)
         print(f"wrote={path}")
 
 
@@ -164,7 +172,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         _, _, g = _family(args.family, args.params)
     text = serialize_edge_list(g)
     if args.output:
-        Path(args.output).write_text(text)
+        _save(args.output, text)
         print(f"wrote={args.output}")
         print(f"vertices={g.vertex_count}")
         print(f"edges={g.edge_count}")
@@ -295,7 +303,9 @@ def _reduce_torus(
 def _reduce_clique_layer(
     args: argparse.Namespace, lab: ProductLabeling, w0: BrushConfig, seq: CleaningSequence
 ) -> int:
-    counts = cons.classify_boundary_pairs(lab, w0, seq)
+    g2, lab2, w2 = cons.delete_clique_layer(lab, w0, seq)
+    # delete_clique_layer has checked the input: classify it without a second check
+    counts = cons._boundary_counts(lab, w0, seq)
     print(f"kind=clique-layer m={lab.m} n={lab.n}")
     print(
         "classes="
@@ -303,7 +313,6 @@ def _reduce_clique_layer(
     )
     for note in counts.diagnostics:
         print(f"diagnostic={note}")
-    g2, lab2, w2 = cons.delete_clique_layer(lab, w0, seq)
     print(f"reduced={cons.FAMILIES['km-pn'].label.format(lab2.m, lab2.n)}")
     print(f"total_before={w0.total}")
     print(f"total_after={w2.total}")

@@ -505,6 +505,14 @@ def classify_boundary_pairs(
     _check_km_pn_dims(m, n)
     g = FAMILIES["km-pn"].build(m, n)
     _simulate_or_invalid(g, w0, seq)
+    return _boundary_counts(labeling, w0, seq)
+
+
+def _boundary_counts(
+    labeling: ProductLabeling, w0: BrushConfig, seq: CleaningSequence
+) -> BoundaryClassCounts:
+    # classify_boundary_pairs on an input already checked
+    m = labeling.m
     letters = _boundary_letters(labeling, w0, seq)
     counts = {k: letters.count(k) for k in "ABCDEFGH"}
 

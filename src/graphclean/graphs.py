@@ -15,11 +15,12 @@ import warnings
 from bisect import bisect
 from dataclasses import dataclass
 from itertools import accumulate, pairwise
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import InvalidParameterError, ParseError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,7 @@ def graph_from_edges(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Gra
     Rejects self-loops, duplicate edges (in either order) and endpoints
     outside 0..vertex_count-1.
     """
+    import numpy as np
     if vertex_count < 0:
         raise InvalidParameterError(f"vertex count must be non-negative, got {vertex_count}")
     pairs = list(edges)
@@ -83,6 +85,7 @@ def _arc_adjacency(vertex_count: int, ends: np.ndarray) -> tuple[tuple[int, ...]
     """Ascending neighbour tuples of the graph whose edges are the rows
     (u, v) of the int64 array ends, or None if a row is a self-loop,
     leaves 0..vertex_count-1 or repeats another row in either order."""
+    import numpy as np
     # viewed as unsigned, a negative end lies past every vertex count
     if len(ends) and ends.view(np.uint64).max() >= vertex_count:
         return None
@@ -147,6 +150,7 @@ def automorphisms(g: Graph, limit: int, deadline: float | None = None) -> np.nda
     time.monotonic() deadline the groups built so far are returned.
     The identity comes first, and the order depends on g alone.
     """
+    import numpy as np
     n = g.vertex_count
     colour = [g.degree(v) for v in range(n)]
     while True:
@@ -321,6 +325,7 @@ def _bulk_edges(text: str, body: int) -> np.ndarray | None:
     non-ASCII tokens into arbitrary integers, or crashes, instead of
     refusing them.
     """
+    import numpy as np
     if not text.isascii() or _NOT_NUMPY_BREAK.search(text, body):
         return None
     stream = io.StringIO(text)
@@ -336,6 +341,7 @@ def _bulk_edges(text: str, body: int) -> np.ndarray | None:
 
 def _line_edges(lines: Iterator[tuple[int, str]], vertex_count: int) -> np.ndarray:
     # one line at a time: raises ParseError at the first bad line
+    import numpy as np
     seen: set[tuple[int, int]] = set()
     for no, line in lines:
         parts = line.split()

@@ -22,8 +22,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations, permutations
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .cleaning import CleaningSequence
 from .errors import (
@@ -38,6 +37,9 @@ from .graphs import (
     cartesian_product,
     is_connected,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_DP_CAP = 22
 # Vertex sets the branch-and-bound's dominance table holds; sets met
@@ -61,7 +63,8 @@ DP_BYTES_PER_STATE = 13
 DP_CHUNK_ROWS = 1024
 
 _INF = 1 << 28
-_UNREACHED = np.iinfo(np.int16).max // 2
+# np.iinfo(np.int16).max // 2, so that two table entries add up in int16
+_UNREACHED = 16383
 
 
 @dataclass(frozen=True)
@@ -142,6 +145,7 @@ def brush_number_dp(
         raise ResourceLimitError(
             f"DP on {n} vertices needs about {est_mb} MB, limit is {memory_limit_mb} MB"
         )
+    import numpy as np
     start = time.perf_counter()
     masks, degs = _adjacency_masks(g)
     marr = np.array(masks, dtype=np.int32)
@@ -241,6 +245,7 @@ def brush_number_bnb(
     plus parity bound over the unexplored prefixes on its stack, at most
     the incumbent.
     """
+    import numpy as np
     n = g.vertex_count
     start = time.perf_counter()
     deadline = None if timeout is None else time.monotonic() + timeout

@@ -143,6 +143,24 @@ def test_solve_missing_file(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("command", ["gen", "config", "reduce"])
+def test_unwritable_output_is_bad_input(tmp_path, capsys, command):
+    prefix = str(tmp_path / "kp43")
+    assert run(capsys, "config", "km-pn", "4", "3", "--out-prefix", prefix)[0] == 0
+    missing = str(tmp_path / "absent" / "x")
+    argv = {
+        "gen": ["gen", "torus", "4", "4", "-o", missing + ".graph"],
+        "config": ["config", "torus", "4", "4", "--out-prefix", missing],
+        "reduce": [
+            "reduce", "clique-layer", "4", "3", "--config", prefix + ".config",
+            "--sequence", prefix + ".sequence", "--out-prefix", missing,
+        ],
+    }[command]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert f"error: cannot write {missing}." in err
+
+
 def test_solve_bnb_stops_at_budget(tmp_path, capsys):
     # 1200 vertices: the branch-and-bound runs to its timeout, not to a
     # recursion limit, and reports the incumbent as incomplete
@@ -244,6 +262,33 @@ def test_import_leaves_out_the_process_pool():
         [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_gen_config_and_reduce_leave_out_numpy(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = f"""
+import contextlib, io, sys
+sys.path.insert(0, {str(src)!r})
+from graphclean.cli import main
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(list(argv)) == 0, argv
+t = {str(tmp_path)!r} + "/"
+run("gen", "torus", "6", "8", "-o", t + "t68.graph")
+run("config", "km-pn", "4", "5", "--out-prefix", t + "k45")
+run("reduce", "clique-layer", "4", "5", "--config", t + "k45.config",
+    "--sequence", t + "k45.sequence", "--out-prefix", t + "k44")
+run("config", "torus", "5", "6", "--out-prefix", t + "t56")
+run("reduce", "torus-rows", "5", "6", "--config", t + "t56.config",
+    "--sequence", t + "t56.sequence", "--out-prefix", t + "t46")
+print("numpy" in sys.modules)
+run("solve", t + "k44.graph")
+print("numpy" in sys.modules)
+"""
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["False", "True"]
 
 
 # --------------------------------------------------------------- config
@@ -443,6 +488,19 @@ def test_reduce_clique_layer(tmp_path, capsys):
         out_prefix + ".sequence",
     )
     assert code == 0
+
+
+def test_reduce_clique_layer_checks_its_input_once(tmp_path, capsys, monkeypatch):
+    prefix = str(tmp_path / "kp43")
+    run(capsys, "config", "km-pn", "4", "3", "--out-prefix", prefix)
+    calls = []
+    check = cli.cons._simulate_or_invalid
+    monkeypatch.setattr(cli.cons, "_simulate_or_invalid", lambda *a: calls.append(check(*a)))
+    code, _, _ = run(
+        capsys, "reduce", "clique-layer", "4", "3",
+        "--config", prefix + ".config", "--sequence", prefix + ".sequence",
+    )
+    assert code == 0 and len(calls) == 1
 
 
 # --------------------------------------------------------------- report

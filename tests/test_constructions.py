@@ -328,6 +328,15 @@ def test_classify_optimal_never_mixes_d_and_e():
         assert counts.total == m
 
 
+@pytest.mark.parametrize("reduction", [classify_boundary_pairs, delete_clique_layer])
+def test_clique_layer_steps_each_refuse_a_failed_cleaning(reduction):
+    lab = ProductLabeling(4, 3)
+    w0, seq = km_pn_config(4, 3), km_pn_sequence(4, 3)
+    emptied = BrushConfig((0,) + w0.counts[1:])  # vertex 0 cleans first and holds 4
+    with pytest.raises(InvalidInputError):
+        reduction(lab, emptied, seq)
+
+
 # --------------------------------------------------------- layer deletion
 
 def test_delete_layer_canonical():

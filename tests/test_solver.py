@@ -265,6 +265,10 @@ def test_pruned_dp_matches_unpruned(g):
 
 # ------------------------------------------------------------ size guards
 
+def test_unreached_is_half_the_int16_max():
+    assert solver._UNREACHED == np.iinfo(np.int16).max // 2
+
+
 def test_dp_cap():
     with pytest.raises(TooLargeError):
         brush_number_dp(make_clique(23))
