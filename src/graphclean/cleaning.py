@@ -27,7 +27,7 @@ from .errors import (
     InvalidSequenceError,
     ParseError,
 )
-from .graphs import Graph, _read_header
+from .graphs import Graph, _data_lines, _read_header
 
 
 @dataclass(frozen=True)
@@ -258,11 +258,11 @@ def cleaning_order(
 
 def parse_brush_config(text: str) -> BrushConfig:
     """Parse the config format: "b N" header, then "v count" lines."""
-    lines, vertex_count, _ = _read_header(text, "b")
+    lines, vertex_count, body = _read_header(text, "b")
 
     counts = [0] * vertex_count
     seen: set[int] = set()
-    for no, line in lines:
+    for no, line in _data_lines(lines, body):
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(no, f"expected 'vertex count', got {line!r}")
@@ -289,11 +289,11 @@ def serialize_brush_config(w0: BrushConfig) -> str:
 
 def parse_sequence(text: str) -> CleaningSequence:
     """Parse the sequence format: "s N" header, then whitespace-separated ids."""
-    lines, vertex_count, _ = _read_header(text, "s")
+    lines, vertex_count, body = _read_header(text, "s")
 
     ids: list[int] = []
     seen: set[int] = set()
-    for no, line in lines:
+    for no, line in _data_lines(lines, body):
         for tok in line.split():
             try:
                 v = int(tok)

@@ -59,8 +59,9 @@ def _load(parse: Callable[[str], T], path: str) -> T:
     """Read and parse one input file, naming it in any parse error."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise InvalidInputError(f"cannot read {path}: {reason}") from exc
     try:
         return parse(text)
     except ParseError as exc:
@@ -149,14 +150,23 @@ def _check_minimum(option: str, value: int, low: int) -> None:
 
 
 def _write_cleaning(prefix: str, g: Graph, w0: BrushConfig, seq: CleaningSequence) -> None:
-    """Write a cleaning as prefix.graph, prefix.config and prefix.sequence."""
-    for suffix, text in (
-        (".graph", serialize_edge_list(g)),
-        (".config", serialize_brush_config(w0)),
-        (".sequence", serialize_sequence(seq, g.vertex_count)),
-    ):
-        path = Path(prefix + suffix)
-        _save(path, text)
+    """Write a cleaning as prefix.graph, prefix.config and prefix.sequence,
+    or, if one of them cannot be written, remove those already written."""
+    written: list[Path] = []
+    try:
+        for suffix, text in (
+            (".graph", serialize_edge_list(g)),
+            (".config", serialize_brush_config(w0)),
+            (".sequence", serialize_sequence(seq, g.vertex_count)),
+        ):
+            path = Path(prefix + suffix)
+            _save(path, text)
+            written.append(path)
+    except InvalidInputError:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+    for path in written:
         print(f"wrote={path}")
 
 

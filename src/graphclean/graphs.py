@@ -8,8 +8,6 @@ simple graphs is simple by construction.
 
 from __future__ import annotations
 
-import io
-import re
 import time
 import warnings
 from bisect import bisect
@@ -58,27 +56,20 @@ def graph_from_edges(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Gra
     import numpy as np
     if vertex_count < 0:
         raise InvalidParameterError(f"vertex count must be non-negative, got {vertex_count}")
-    pairs = list(edges)
-    try:
-        ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    except OverflowError:  # an endpoint past int64, so out of range
-        ends = None
-    adjacency = None if ends is None else _arc_adjacency(vertex_count, ends)
-    if adjacency is None:
-        # name the first bad edge
-        seen = set()
-        for u, v in pairs:
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise InvalidParameterError(
-                    f"edge ({u}, {v}) leaves the vertex range 0..{vertex_count - 1}"
-                )
-            if u == v:
-                raise InvalidParameterError(f"self-loop at vertex {u}")
-            edge = (u, v) if u < v else (v, u)
-            if edge in seen:
-                raise InvalidParameterError(f"duplicate edge ({u}, {v})")
-            seen.add(edge)
-    return Graph(vertex_count, adjacency)
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+            raise InvalidParameterError(
+                f"edge ({u}, {v}) leaves the vertex range 0..{vertex_count - 1}"
+            )
+        if u == v:
+            raise InvalidParameterError(f"self-loop at vertex {u}")
+        edge = (u, v) if u < v else (v, u)
+        if edge in seen:
+            raise InvalidParameterError(f"duplicate edge ({u}, {v})")
+        seen.add(edge)
+    ends = np.array(list(seen), dtype=np.int64).reshape(-1, 2)
+    return Graph(vertex_count, _arc_adjacency(vertex_count, ends))
 
 
 def _arc_adjacency(vertex_count: int, ends: np.ndarray) -> tuple[tuple[int, ...], ...] | None:
@@ -273,37 +264,23 @@ def cartesian_product(g: Graph, h: Graph) -> tuple[Graph, ProductLabeling]:
     return Graph(g.vertex_count * n, tuple(adjacency)), ProductLabeling(g.vertex_count, n)
 
 
-# the line breaks of str.splitlines, and those of them in ASCII that
-# numpy's text reader does not break on (it refuses a lone "\r" and
-# reads the others as blanks)
-_LINE_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
-_NOT_NUMPY_BREAK = re.compile("\r(?!\n)|[\x0b\x0c\x1c-\x1e]")
-
-
-def _data_lines(text: str, start: int, no: int) -> Iterator[tuple[int, str]]:
-    # the lines from offset start on, numbered from no + 1, without
-    # comments ('#' to end of line) and blank lines
-    for no, raw in enumerate(text[start:].splitlines(), start=no + 1):
-        line = raw.split("#", 1)[0].strip()
+def _data_lines(lines: list[str], start: int) -> Iterator[tuple[int, str]]:
+    # lines[start:] numbered from start + 1, without comments ('#' to end
+    # of line) and blank lines
+    for no in range(start, len(lines)):
+        line = lines[no].split("#", 1)[0].strip()
         if line:
-            yield no, line
+            yield no + 1, line
 
 
-def _read_header(text: str, tag: str) -> tuple[Iterator[tuple[int, str]], int, int]:
-    """Check the "<tag> N" header of a text format; return the numbered
-    data lines after it, N and the offset where the header's next line
-    starts.  Lines break where str.splitlines breaks them; the text is
-    split no further than the header here."""
-    no = start = 0
-    header = ""
-    while not header:
-        if start == len(text):
-            raise ParseError(1, f"missing '{tag} <vertex_count>' header")
-        brk = _LINE_BREAK.search(text, start)
-        end, nxt = brk.span() if brk else (len(text), len(text))
-        no += 1
-        header = text[start:end].split("#", 1)[0].strip()
-        start = nxt
+def _read_header(text: str, tag: str) -> tuple[list[str], int, int]:
+    """Split text into lines where str.splitlines breaks them and check
+    the "<tag> N" header among them; return the lines, N and the index
+    of the first line after the header."""
+    lines = text.splitlines()
+    no, header = next(_data_lines(lines, 0), (0, ""))
+    if not header:
+        raise ParseError(1, f"missing '{tag} <vertex_count>' header")
     parts = header.split()
     if len(parts) != 2 or parts[0] != tag:
         raise ParseError(no, f"expected '{tag} <vertex_count>', got {header!r}")
@@ -313,27 +290,17 @@ def _read_header(text: str, tag: str) -> tuple[Iterator[tuple[int, str]], int, i
         raise ParseError(no, f"vertex count {parts[1]!r} is not an integer") from None
     if vertex_count < 0:
         raise ParseError(no, f"vertex count must be non-negative, got {vertex_count}")
-    return _data_lines(text, start, no), vertex_count, start
+    return lines, vertex_count, no
 
 
-def _bulk_edges(text: str, body: int) -> np.ndarray | None:
-    """The "u v" lines from offset body on as an (E, 2) int64 array, read
-    in one numpy pass; None where that read refuses the text or could
-    split its lines differently from str.splitlines.
-
-    Only ASCII text is read this way: numpy 2.4's loadtxt turns some
-    non-ASCII tokens into arbitrary integers, or crashes, instead of
-    refusing them.
-    """
+def _bulk_edges(lines: list[str]) -> np.ndarray | None:
+    """The "u v" lines as an (E, 2) int64 array, read in one numpy pass;
+    None where that read refuses them."""
     import numpy as np
-    if not text.isascii() or _NOT_NUMPY_BREAK.search(text, body):
-        return None
-    stream = io.StringIO(text)
-    stream.seek(body)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            ends = np.loadtxt(stream, dtype=np.int64, comments="#", ndmin=2)
+            ends = np.loadtxt(lines, dtype=np.int64, comments="#", ndmin=2)
     except ValueError:
         return None
     return ends.reshape(-1, 2) if ends.size == 0 or ends.shape[1] == 2 else None
@@ -366,15 +333,17 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: a "p N" header, then one "u v" line per edge.
 
     The lines after the header are read in one numpy pass.  They are read
-    one at a time instead when that pass refuses them or could misread
-    them (see _bulk_edges), or when the graph it gives is refused; that
-    loop names the first bad line.
+    one at a time instead when that pass refuses them, when the graph it
+    gives is refused, or when the text is not ASCII (numpy 2.4's loadtxt
+    turns some non-ASCII tokens into arbitrary integers, or crashes,
+    instead of refusing them); that loop names the first bad line.
     """
     lines, vertex_count, body = _read_header(text, "p")
-    ends = _bulk_edges(text, body)
+    ends = _bulk_edges(lines[body:]) if text.isascii() else None
     adjacency = None if ends is None else _arc_adjacency(vertex_count, ends)
     if adjacency is None:
-        adjacency = _arc_adjacency(vertex_count, _line_edges(lines, vertex_count))
+        ends = _line_edges(_data_lines(lines, body), vertex_count)
+        adjacency = _arc_adjacency(vertex_count, ends)
     return Graph(vertex_count, adjacency)
 
 

@@ -161,6 +161,35 @@ def test_unwritable_output_is_bad_input(tmp_path, capsys, command):
     assert f"error: cannot write {missing}." in err
 
 
+def test_failed_write_removes_the_files_written(tmp_path, capsys):
+    (tmp_path / "p.config").mkdir()
+    code, out, err = run(capsys, "config", "torus", "4", "4", "--out-prefix", str(tmp_path / "p"))
+    assert code == 2
+    assert f"error: cannot write {tmp_path / 'p.config'}:" in err
+    assert "wrote=" not in out
+    assert not (tmp_path / "p.graph").exists()
+
+
+@pytest.mark.parametrize("slot", ["solve", "verify-graph", "verify-config", "reduce-config"])
+def test_undecodable_input_is_bad_input(tmp_path, capsys, slot):
+    prefix = str(tmp_path / "kp43")
+    assert run(capsys, "config", "km-pn", "4", "3", "--out-prefix", prefix)[0] == 0
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"p 2\n0 1\xff\n")
+    argv = {
+        "solve": ["solve", str(bad)],
+        "verify-graph": ["verify", str(bad), prefix + ".config"],
+        "verify-config": ["verify", prefix + ".graph", str(bad)],
+        "reduce-config": [
+            "reduce", "clique-layer", "4", "3", "--config", str(bad),
+            "--sequence", prefix + ".sequence",
+        ],
+    }[slot]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert f"error: cannot read {bad}:" in err
+
+
 def test_solve_bnb_stops_at_budget(tmp_path, capsys):
     # 1200 vertices: the branch-and-bound runs to its timeout, not to a
     # recursion limit, and reports the incumbent as incomplete

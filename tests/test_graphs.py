@@ -253,9 +253,7 @@ def _edge_list_texts(draw):
     return "".join(text + sep for text, sep in zip(lines, seps))[: None if draw(st.booleans()) else -1]
 
 
-@given(_edge_list_texts())
-@settings(max_examples=400)
-def test_bulk_read_matches_line_reading(text):
+def _assert_reads_as_by_lines(text):
     try:
         n, nbrs = _parse_by_lines(text)
     except ParseError as expected:
@@ -265,6 +263,35 @@ def test_bulk_read_matches_line_reading(text):
     else:
         g = parse_edge_list(text)
         assert g.vertex_count == n and [list(a) for a in g.adjacency] == nbrs
+
+
+@given(_edge_list_texts())
+@settings(max_examples=400)
+def test_bulk_read_matches_line_reading(text):
+    _assert_reads_as_by_lines(text)
+
+
+# ten edge lists with two slots each, between, inside and around the
+# header, the tokens, a comment and the line breaks; the test below puts
+# one character in both slots
+LINE_SHAPES = [
+    "p 3{0}0 1{1}1 2\n",
+    "p 3\n0{0}1{1}\n",
+    "{0}p 3\n{1}0 1\n",
+    "p 3\n0 1{0}# c{1}\n1 2\n",
+    "p{0}3\n1 2{1}",
+    "p 3\n{0}1 2{1}0 2\n",
+    "p 3\n0 1\n1{0}{1}2\n",
+    "p 3\r\n0 1{0}\r\n{1}2 1\r\n",
+    "p 2{0}{1}0 1",
+    "p 3\n0 {0}1\n2 {1}0\n",
+]
+
+
+@pytest.mark.parametrize("shape", LINE_SHAPES)
+def test_every_ascii_character_reads_as_by_lines(shape):
+    for c in map(chr, range(128)):
+        _assert_reads_as_by_lines(shape.format(c, c))
 
 
 def test_bulk_read_skips_the_line_loop(monkeypatch):
@@ -277,6 +304,9 @@ def test_bulk_read_skips_the_line_loop(monkeypatch):
     text = "# made by hand\r\np 4\r\n0 1\r\n3 1 # inline\r\n\r\n+2 0\r\n"
     assert parse_edge_list(text).edges() == [(0, 1), (0, 2), (1, 3)]
     assert parse_edge_list("p 0\n").vertex_count == 0
+    # ASCII breaks of str.splitlines other than "\n" and "\r\n"
+    text = "p 5\r0 1\x0b1 2\x0c2 3 # c\x1c3 4\n"
+    assert parse_edge_list(text).edges() == [(0, 1), (1, 2), (2, 3), (3, 4)]
 
 
 def test_serialize_sorted_canonical():
