@@ -279,40 +279,45 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     w0 = _load(parse_brush_config, args.config)
     seq = _load(parse_sequence, args.sequence)
     if args.kind == "torus-rows":
-        return _reduce_torus(args, lab, w0, seq)
-    return _reduce_clique_layer(args, lab, w0, seq)
-
-
-def _reduce_torus(
-    args: argparse.Namespace, lab: ProductLabeling, w0: BrushConfig, seq: CleaningSequence
-) -> int:
-    print(f"kind=torus-rows m={lab.m} n={lab.n}")
-    print(f"total_before={w0.total}")
-    if args.row is not None:
-        g2, lab2, w2, s2 = cons.combine_torus_rows(lab, w0, seq, args.row)
-        print(f"row={args.row}")
-        print(f"reduced={cons.FAMILIES['torus'].label.format(lab2.m, lab2.n)}")
-        print(f"total_after={w2.total}")
-        print("savings=0")
+        g2, w2, s2 = _reduce_torus(lab, w0, seq, args.row)
     else:
-        red = cons.reduce_torus(lab, w0, seq)
-        print(f"axis={red.correct.axis}")
-        print(f"pair={red.correct.pair[0]},{red.correct.pair[1]}")
-        print(f"target={red.correct.target}")
-        print(f"removed_at={red.removed_at}")
-        print(f"reduced={cons.FAMILIES['torus'].label.format(red.labeling.m, red.labeling.n)}")
-        print(f"total_after={red.total_after}")
-        print(f"savings={red.total_before - red.total_after}")
-        g2, w2, s2 = red.graph, red.config, red.sequence
-    print("verified=true")  # both paths check the cleaning before returning
+        g2, w2, s2 = _reduce_clique_layer(lab, w0, seq)
+    print(f"verified={'true' if s2 is not None else 'false'}")
+    if s2 is None:
+        return EXIT_VERIFY_FAILED
     if args.out_prefix:
         _write_cleaning(args.out_prefix, g2, w2, s2)
     return EXIT_OK
 
 
+def _reduce_torus(
+    lab: ProductLabeling, w0: BrushConfig, seq: CleaningSequence, row: int | None
+) -> tuple[Graph, BrushConfig, CleaningSequence]:
+    # both paths check the output cleaning before returning it
+    print(f"kind=torus-rows m={lab.m} n={lab.n}")
+    print(f"total_before={w0.total}")
+    if row is not None:
+        g2, lab2, w2, s2 = cons.combine_torus_rows(lab, w0, seq, row)
+        print(f"row={row}")
+        print(f"reduced={cons.FAMILIES['torus'].label.format(lab2.m, lab2.n)}")
+        print(f"total_after={w2.total}")
+        print("savings=0")
+        return g2, w2, s2
+    red = cons.reduce_torus(lab, w0, seq)
+    print(f"axis={red.correct.axis}")
+    print(f"pair={red.correct.pair[0]},{red.correct.pair[1]}")
+    print(f"target={red.correct.target}")
+    print(f"removed_at={red.removed_at}")
+    print(f"reduced={cons.FAMILIES['torus'].label.format(red.labeling.m, red.labeling.n)}")
+    print(f"total_after={red.total_after}")
+    print(f"savings={red.total_before - red.total_after}")
+    return red.graph, red.config, red.sequence
+
+
 def _reduce_clique_layer(
-    args: argparse.Namespace, lab: ProductLabeling, w0: BrushConfig, seq: CleaningSequence
-) -> int:
+    lab: ProductLabeling, w0: BrushConfig, seq: CleaningSequence
+) -> tuple[Graph, BrushConfig, CleaningSequence | None]:
+    # the sequence is None when no order cleans the output
     g2, lab2, w2 = cons.delete_clique_layer(lab, w0, seq)
     # delete_clique_layer has checked the input: classify it without a second check
     counts = cons._boundary_counts(lab, w0, seq)
@@ -327,7 +332,6 @@ def _reduce_clique_layer(
     print(f"total_before={w0.total}")
     print(f"total_after={w2.total}")
     print(f"savings={w0.total - w2.total}")
-
     # prefer the input order restricted to the surviving copies
     restricted = CleaningSequence(
         tuple(
@@ -337,13 +341,7 @@ def _reduce_clique_layer(
             if j >= 1
         )
     )
-    out_seq = cleaning_order(g2, w2, restricted)
-    print(f"verified={'true' if out_seq is not None else 'false'}")
-    if out_seq is None:
-        return EXIT_VERIFY_FAILED
-    if args.out_prefix:
-        _write_cleaning(args.out_prefix, g2, w2, out_seq)
-    return EXIT_OK
+    return g2, w2, cleaning_order(g2, w2, restricted)
 
 
 # --------------------------------------------------------------- report
@@ -390,14 +388,8 @@ def _km_cn_row(m: int, n: int, cap: int) -> dict[str, str]:
     }
     if g.vertex_count <= cap:
         res = brush_number_dp(g, max_vertices=cap)
-        if res.value == fixed and res.value == scaled:
-            verdict = "both"
-        elif res.value == fixed:
-            verdict = "fixed"
-        elif res.value == scaled:
-            verdict = "scaled"
-        else:
-            verdict = "neither"
+        # fixed < scaled for every m >= 2 and n >= 3, so at most one matches
+        verdict = {fixed: "fixed", scaled: "scaled"}.get(res.value, "neither")
         row.update(solver=str(res.value), verdict=verdict, seconds=f"{res.seconds:.3f}")
     return row
 
@@ -547,7 +539,10 @@ _parser = cache(build_parser)  # built once per process; main may run many times
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error (2) or --help (0); argparse has printed why
+        return exc.code
     # looked up at call time, so a handler replaced on this module is the one that runs
     handler = globals()[f"cmd_{args.command}"]
     try:

@@ -451,7 +451,7 @@ def _simulate_or_invalid(g: Graph, w0: BrushConfig, seq: CleaningSequence) -> No
 
 # ------------------------------------------------- clique layer deletion
 
-_CLASS_ADJUST = {"A": 1, "E": 1, "C": -1, "G": -1}
+_CLASS_ADJUST = {"a": 1, "e": 1, "c": -1, "g": -1}
 
 
 @dataclass(frozen=True)
@@ -476,20 +476,15 @@ class BoundaryClassCounts:
         return self.a + self.b + self.c + self.d + self.e + self.f + self.g + self.h
 
 
-def _boundary_letters(
-    labeling: ProductLabeling, w0: BrushConfig, seq: CleaningSequence
+def _boundary_classes(
+    labeling: ProductLabeling, w0: BrushConfig, pos: dict[int, int]
 ) -> list[str]:
-    pos = {v: k for k, v in enumerate(seq.order)}
-    letters = []
-    for x in range(labeling.m):
-        u, v = labeling.id(x, 0), labeling.id(x, 1)
-        u_pos, fwd, v_pos = w0[u] > 0, pos[u] < pos[v], w0[v] > 0
-        if u_pos:
-            letter = ("A" if v_pos else "B") if fwd else ("C" if v_pos else "D")
-        else:
-            letter = ("E" if v_pos else "F") if fwd else ("G" if v_pos else "H")
-        letters.append(letter)
-    return letters
+    # the class of pair x, from its key bits: first copy empty, cleaned
+    # from the second copy, second copy empty
+    return [
+        "abcdefgh"[4 * (w0[u] == 0) + 2 * (pos[u] > pos[v]) + (w0[v] == 0)]
+        for u, v in ((labeling.id(x, 0), labeling.id(x, 1)) for x in range(labeling.m))
+    ]
 
 
 def classify_boundary_pairs(
@@ -501,10 +496,7 @@ def classify_boundary_pairs(
     brushes on the first half of that copy's cleaning order; violations
     are reported in diagnostics rather than rejected.
     """
-    m, n = labeling.m, labeling.n
-    _check_km_pn_dims(m, n)
-    g = FAMILIES["km-pn"].build(m, n)
-    _simulate_or_invalid(g, w0, seq)
+    _simulate_or_invalid(FAMILIES["km-pn"].build(labeling.m, labeling.n), w0, seq)
     return _boundary_counts(labeling, w0, seq)
 
 
@@ -513,12 +505,10 @@ def _boundary_counts(
 ) -> BoundaryClassCounts:
     # classify_boundary_pairs on an input already checked
     m = labeling.m
-    letters = _boundary_letters(labeling, w0, seq)
-    counts = {k: letters.count(k) for k in "ABCDEFGH"}
-
+    pos = {v: k for k, v in enumerate(seq.order)}
+    classes = _boundary_classes(labeling, w0, pos)
     diagnostics: list[str] = []
     if m % 2 == 0:
-        pos = {v: k for k, v in enumerate(seq.order)}
         first_copy = sorted((labeling.id(x, 0) for x in range(m)), key=pos.__getitem__)
         for rank, u in enumerate(first_copy, start=1):
             if w0[u] > 0 and rank > m // 2:
@@ -526,17 +516,7 @@ def _boundary_counts(
                     f"vertex {u} holds {w0[u]} brushes but is cleaned "
                     f"{rank}th of {m} in its copy"
                 )
-    return BoundaryClassCounts(
-        a=counts["A"],
-        b=counts["B"],
-        c=counts["C"],
-        d=counts["D"],
-        e=counts["E"],
-        f=counts["F"],
-        g=counts["G"],
-        h=counts["H"],
-        diagnostics=tuple(diagnostics),
-    )
+    return BoundaryClassCounts(*map(classes.count, "abcdefgh"), diagnostics=tuple(diagnostics))
 
 
 def delete_clique_layer(
@@ -547,8 +527,8 @@ def delete_clique_layer(
     """Remove clique copy 0 and compensate copy 1 per its pair classes.
 
     Pairs whose first-copy vertex cleans first and whose classes mark
-    both ends (A) or the far end only (E) gain one brush; pairs cleaned
-    from the second copy against positive far brushes (C, G) give one
+    both ends (a) or the far end only (e) gain one brush; pairs cleaned
+    from the second copy against positive far brushes (c, g) give one
     up.  For n = 2 the output is a bare clique, and for even m it gains
     the one extra brush the half-way vertex may need.  For even m the
     output cleans K_m x P_{n-1} whenever the input cleaning is optimal.
@@ -557,22 +537,20 @@ def delete_clique_layer(
     and b(K_5 x P_3) = 19).  Verify the output with can_clean.
     """
     m, n = labeling.m, labeling.n
-    _check_km_pn_dims(m, n)
-    g = FAMILIES["km-pn"].build(m, n)
-    _simulate_or_invalid(g, w0, seq)
-    letters = _boundary_letters(labeling, w0, seq)
+    _simulate_or_invalid(FAMILIES["km-pn"].build(m, n), w0, seq)
+    pos = {v: k for k, v in enumerate(seq.order)}
+    classes = _boundary_classes(labeling, w0, pos)
 
     new_lab = ProductLabeling(m, n - 1)
     counts = [0] * (m * (n - 1))
     for x in range(m):
         for j in range(1, n):
             c = w0[labeling.id(x, j)]
-            if j == 1:  # C and G subtract only where w0[id(x, 1)] > 0, so c >= 0
-                c += _CLASS_ADJUST.get(letters[x], 0)
+            if j == 1:  # c and g subtract only where w0[id(x, 1)] > 0, so c >= 0
+                c += _CLASS_ADJUST.get(classes[x], 0)
             counts[new_lab.id(x, j - 1)] = c
 
     if n == 2 and m % 2 == 0:
-        pos = {v: k for k, v in enumerate(seq.order)}
         second_copy = sorted((labeling.id(x, 1) for x in range(m)), key=pos.__getitem__)
         halfway = second_copy[m // 2 - 1]
         if w0[halfway] == 0:

@@ -19,6 +19,7 @@ directly and is useful past the DP's memory reach.
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass
 from itertools import combinations, permutations
@@ -154,7 +155,7 @@ def brush_number_dp(
     bits = np.left_shift(1, np.arange(n, dtype=np.int32))
     size = 1 << n
     half = n // 2
-    cap = _greedy_order(n, masks, degs)[1]
+    cap = _greedy_order(g)[1]
     # f(S) <= cap < _UNREACHED and 2*|N(v) & S| < 2^8 fit the int16
     # table and uint8 counts; deficit(S) is written once S is reached
     f = np.full(size, _UNREACHED, dtype=np.int16)
@@ -195,21 +196,29 @@ def brush_number_dp(
     )
 
 
-def _greedy_order(n: int, masks: list[int], degs: list[int]) -> tuple[tuple[int, ...], int]:
-    mask, cost = 0, 0
+def _greedy_order(g: Graph) -> tuple[tuple[int, ...], int]:
+    """The order that cleans next the vertex of least marginal cost
+    max(0, deg(v) - 2 * cleaned neighbours), lowest id on a tie, and its
+    cost.  A cost only falls, by 2 when a neighbour is cleaned, so one
+    heap pass serves; the entries a fall leaves behind are skipped."""
+    marg = [len(nbrs) for nbrs in g.adjacency]
+    heap = [(d, v) for v, d in enumerate(marg)]
+    heapq.heapify(heap)
+    cleaned = [False] * g.vertex_count
     seq: list[int] = []
-    for _ in range(n):
-        pick = None
-        for v in range(n):
-            if not mask >> v & 1:
-                marg = degs[v] - 2 * (masks[v] & mask).bit_count()
-                if marg < 0:
-                    marg = 0
-                if pick is None or marg < pick[0]:
-                    pick = (marg, v)
-        cost += pick[0]
-        seq.append(pick[1])
-        mask |= 1 << pick[1]
+    cost = 0
+    while heap:
+        c, v = heapq.heappop(heap)
+        if cleaned[v] or c != max(0, marg[v]):
+            continue
+        cleaned[v] = True
+        seq.append(v)
+        cost += c
+        for u in g.adjacency[v]:
+            if not cleaned[u]:
+                marg[u] -= 2
+                if marg[u] >= -1:  # the key max(0, marg[u]) fell
+                    heapq.heappush(heap, (max(0, marg[u]), u))
     return tuple(seq), cost
 
 
@@ -250,7 +259,7 @@ def brush_number_bnb(
     start = time.perf_counter()
     deadline = None if timeout is None else time.monotonic() + timeout
     masks, degs = _adjacency_masks(g)
-    best_seq, best_cost = _greedy_order(n, masks, degs)
+    best_seq, best_cost = _greedy_order(g)
     cap = best_cost if upper_hint is None else min(best_cost, upper_hint + 1)
     full = (1 << n) - 1
     # images[u, a] is the bit of u's image under the a-th automorphism,
@@ -456,32 +465,24 @@ def check_box_conjecture(
 
     path_value = values[sum(bit[i, i + 1] for i in range(m - 1))]
     clique_value = values[(1 << len(pairs)) - 1]
-    min_value, max_value = _INF, -1
-    min_edges: tuple[tuple[int, int], ...] = ()
-    max_edges: tuple[tuple[int, int], ...] = ()
-    violations: list[tuple[tuple[tuple[int, int], ...], int]] = []
-    connected_checked = 0
-    for bits in range(1 << len(pairs)):
-        value = values[bits]
-        if value is None:
-            continue
-        connected_checked += 1
-        if value < min_value:
-            min_value, min_edges = value, edges_of(bits)
-        if value > max_value:
-            max_value, max_edges = value, edges_of(bits)
-        if not path_value <= value <= clique_value:
-            violations.append((edges_of(bits), value))
+    connected = [bits for bits in range(1 << len(pairs)) if values[bits] is not None]
+    # min and max keep the first labelled graph that attains the extreme
+    low = min(connected, key=values.__getitem__)
+    high = max(connected, key=values.__getitem__)
     return BoxConjectureReport(
         m=m,
         h_vertex_count=h.vertex_count,
         path_value=path_value,
         clique_value=clique_value,
-        min_value=min_value,
-        max_value=max_value,
-        min_edges=min_edges,
-        max_edges=max_edges,
+        min_value=values[low],
+        max_value=values[high],
+        min_edges=edges_of(low),
+        max_edges=edges_of(high),
         graphs_checked=1 << len(pairs),
-        connected_checked=connected_checked,
-        violations=tuple(violations),
+        connected_checked=len(connected),
+        violations=tuple(
+            (edges_of(bits), values[bits])
+            for bits in connected
+            if not path_value <= values[bits] <= clique_value
+        ),
     )

@@ -328,6 +328,37 @@ def test_parse_sequence_repeat_names_its_line():
     assert info.value.message == "vertex 1 repeated"
 
 
+@pytest.mark.parametrize(
+    "text, line_no, message",
+    [
+        ("b 3\n0 1\n1\n", 3, "expected 'vertex count', got '1'"),
+        ("b 3\n0 1 2\n", 2, "expected 'vertex count', got '0 1 2'"),
+        ("b 3\n# note\n0 x\n", 3, "non-integer field in '0 x'"),
+        ("b 3\n3 1\n", 2, "vertex 3 outside 0..2"),
+        ("b 3\n-1 1\n", 2, "vertex -1 outside 0..2"),
+        ("b 3\n0 1\n2 1\n0 2\n", 4, "vertex 0 listed twice"),
+    ],
+)
+def test_parse_brush_config_errors_name_their_line(text, line_no, message):
+    with pytest.raises(ParseError) as info:
+        parse_brush_config(text)
+    assert (info.value.line_no, info.value.message) == (line_no, message)
+
+
+@pytest.mark.parametrize(
+    "text, line_no, message",
+    [
+        ("s 3\n0 1\nx\n", 3, "non-integer id 'x'"),
+        ("s 3\n0 3\n", 2, "vertex 3 outside 0..2"),
+        ("s 3\n\n-1\n", 3, "vertex -1 outside 0..2"),
+    ],
+)
+def test_parse_sequence_errors_name_their_line(text, line_no, message):
+    with pytest.raises(ParseError) as info:
+        parse_sequence(text)
+    assert (info.value.line_no, info.value.message) == (line_no, message)
+
+
 def _permutation_min(g):
     best = None
     for order in permutations(range(g.vertex_count)):

@@ -245,6 +245,22 @@ def test_crash_exits_internal_error(monkeypatch, capsys):
     assert err.startswith("error: internal: RuntimeError: boom")
 
 
+@pytest.mark.parametrize(
+    "argv", [["solve"], ["report", "torus", "--jobs", "x"], ["no-such-command"]]
+)
+def test_usage_errors_return_two(capsys, argv):
+    # main returns argparse's exit code instead of raising SystemExit
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: graphclean")
+
+
+def test_help_returns_zero(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: graphclean")
+
+
 @pytest.mark.parametrize("command", [["solve", "{graph}"], ["report", "torus"]])
 def test_negative_dp_cap_is_rejected(tmp_path, capsys, command):
     # a negative cap is bad input (2), not an instance over the cap (3)
@@ -676,3 +692,18 @@ def test_report_torus_falls_back_to_bnb(capsys):
     assert code == 0
     assert "match=yes method=bnb" in out
     assert "skipped=0" in out
+
+
+def test_report_row_over_the_timeout_is_incomplete(capsys):
+    # the branch-and-bound needs about 15 s for C7 x C7: a row it cannot
+    # finish reads incomplete, which is neither a match nor a mismatch
+    code, out, _ = run(
+        capsys, "report", "torus", "--instances", "7x7",
+        "--max-dp-vertices", "0", "--timeout", "0.2",
+    )
+    assert code == 0
+    row = next(line for line in out.splitlines() if line.startswith("instance=C7xC7"))
+    assert " match=incomplete method=bnb " in row
+    assert out.splitlines()[-1] == (
+        "summary suite=torus rows=1 mismatches=0 skipped=0 incomplete=1"
+    )

@@ -1,6 +1,8 @@
 """Closed-form configurations for the structured families, the row-merge
 reduction on torus cleanings, and the clique-layer deletion."""
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -368,6 +370,40 @@ def test_delete_layer_base_mode():
     assert w2.total <= 2
     ok, _ = can_clean(g2, w2)
     assert ok
+
+
+def _assert_layer_deletion_cleans_clique(lab, w0, seq):
+    g2, lab2, w2 = delete_clique_layer(lab, w0, seq)
+    assert (lab2.m, lab2.n) == (lab.m, 1)
+    assert w2.total == lab.m * lab.m // 4  # b(K_m)
+    assert can_clean(g2, w2)[0]
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_delete_layer_n2_closed_form_and_dp(m):
+    # for n = 2 and even m the half-way vertex of the second copy gains
+    # the brush it needs: without it K2, K4 and K6 come out with 0, 3
+    # and 8 brushes, and none of them cleans
+    g, lab = clique_path(m, 2)
+    _assert_layer_deletion_cleans_clique(lab, km_pn_config(m, 2), km_pn_sequence(m, 2))
+    w0, seq, value = dp_cleaning(g)
+    assert value == m * m // 2
+    _assert_layer_deletion_cleans_clique(lab, w0, seq)
+
+
+def test_delete_layer_n2_every_optimal_k4_order():
+    g, lab = clique_path(4, 2)
+    optimal = fires = 0
+    for order in permutations(range(8)):
+        seq = CleaningSequence(order)
+        w0 = minimal_config_for_sequence(g, seq)
+        if w0.total != 8:  # b(K4 x P2)
+            continue
+        optimal += 1
+        second_copy = [v for v in order if lab.pair(v)[1] == 1]
+        fires += w0[second_copy[1]] == 0  # the half-way vertex holds no brush
+        _assert_layer_deletion_cleans_clique(lab, w0, seq)
+    assert (optimal, fires) == (12384, 7632)
 
 
 def test_odd_config_matches_dp_value():

@@ -309,6 +309,22 @@ def test_bulk_read_skips_the_line_loop(monkeypatch):
     assert parse_edge_list(text).edges() == [(0, 1), (1, 2), (2, 3), (3, 4)]
 
 
+def test_non_ascii_text_reads_line_by_line(monkeypatch):
+    import graphclean.graphs as graphs_module
+
+    calls = []
+    line_edges = graphs_module._line_edges
+    monkeypatch.setattr(
+        graphs_module, "_line_edges", lambda *args: calls.append(1) or line_edges(*args)
+    )
+    text = "# café — by hand\np 4\n0 1  # é\n3 1\n2 0\n"
+    ascii_twin = "# cafe - by hand\np 4\n0 1  # e\n3 1\n2 0\n"
+    g = parse_edge_list(text)
+    assert calls == [1]
+    assert g == parse_edge_list(ascii_twin)
+    assert g.edges() == [(0, 1), (0, 2), (1, 3)]
+
+
 def test_serialize_sorted_canonical():
     g = graph_from_edges(4, [(3, 2), (1, 0), (2, 0)])
     assert serialize_edge_list(g).splitlines() == ["p 4", "0 1", "0 2", "2 3"]

@@ -384,6 +384,46 @@ def test_bnb_stops_at_budget_past_recursion_depth():
     assert minimal_config_for_sequence(g, result.witness).total == result.value
 
 
+def _greedy_by_scan(g):
+    # the O(n^2) form of solver._greedy_order: scan every uncleaned vertex
+    # at each step for the least max(0, marginal cost), lowest id first
+    n = g.vertex_count
+    cleaned, seq, cost = set(), [], 0
+    for _ in range(n):
+        marg, v = min(
+            (max(0, g.degree(v) - 2 * len(cleaned.intersection(g.adjacency[v]))), v)
+            for v in range(n)
+            if v not in cleaned
+        )
+        cleaned.add(v)
+        seq.append(v)
+        cost += marg
+    return tuple(seq), cost
+
+
+@given(graphs(min_vertices=0, max_vertices=24))
+@settings(max_examples=300, deadline=None)
+def test_greedy_order_matches_scan(g):
+    assert solver._greedy_order(g) == _greedy_by_scan(g)
+
+
+@pytest.mark.parametrize(
+    "kind, m, n", [("torus", 4, 5), ("km-pn", 5, 4), ("km-cn", 4, 5), ("km-pn", 3, 400)]
+)
+def test_greedy_order_matches_scan_on_products(kind, m, n):
+    g = FAMILIES[kind].build(m, n)
+    assert solver._greedy_order(g) == _greedy_by_scan(g)
+
+
+def test_bnb_greedy_start_fits_the_timeout():
+    # the incumbent of C100 x C100 comes from the greedy order, which must
+    # not use up the budget before the search reads the clock
+    g = FAMILIES["torus"].build(100, 100)
+    result = brush_number_bnb(g, timeout=0.5)
+    assert not result.complete
+    assert result.seconds < 10
+
+
 @pytest.mark.parametrize("n", [0, 1])
 def test_bnb_tiny_graphs(n):
     result = brush_number_bnb(graph_from_edges(n, []))
