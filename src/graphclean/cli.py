@@ -473,7 +473,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     summary = f"summary suite={suite} rows={len(rows)} mismatches={mismatches} skipped={skipped} incomplete={incomplete}"
     if suite == "km-cn":
         verdicts = {r["verdict"] for r in rows} - {"skipped"}
-        conclusion = verdicts.pop() if len(verdicts) == 1 else "mixed"
+        conclusion = verdicts.pop() if len(verdicts) == 1 else "mixed" if verdicts else "none"
         summary += f" conclusion={conclusion}"
     print(summary)
     return EXIT_INFEASIBLE if mismatches else EXIT_OK

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import TYPE_CHECKING
@@ -258,10 +259,10 @@ def brush_number_bnb(
     n = g.vertex_count
     start = time.perf_counter()
     deadline = None if timeout is None else time.monotonic() + timeout
-    masks, degs = _adjacency_masks(g)
+    adj = g.adjacency
+    degs = [len(nbrs) for nbrs in adj]
     best_seq, best_cost = _greedy_order(g)
     cap = best_cost if upper_hint is None else min(best_cost, upper_hint + 1)
-    full = (1 << n) - 1
     # images[u, a] is the bit of u's image under the a-th automorphism,
     # images_of[depth] the images of sets[depth]; keys fit in an int64
     group = automorphisms(g, ORBIT_MAX_GROUP, deadline) if n <= 63 else np.empty((0, n))
@@ -273,17 +274,26 @@ def brush_number_bnb(
     # path[:depth] and sets[depth] hold the popped prefix's order and set
     path = [0] * n
     sets = [0] * (n + 1)
+    # marg[u] = deg(u) - 2 * |N(u) & prefix| and free, the vertices
+    # outside it in ascending order, reflect path[:applied]; a pop undoes
+    # the entries that left the prefix, a node that is not cut redoes
+    # the ones that joined it
+    odd_of = [d & 1 for d in degs]
+    marg = degs[:]
+    free = list(range(n))
+    applied = 0
     # (cost, last vertex, odd-degree vertices left minus cut edges,
     # depth, orbit key or None for the set itself, least cost plus
     # parity bound over this entry and every entry below it)
-    odd = sum(d % 2 for d in degs)
-    stack = [(0, 0, odd, 0, None, (odd + 1) // 2)]
-    # a pop scans up to n vertices, so the clock is read every 256
-    # pops, or more often past 256 vertices
+    odd = sum(odd_of)
+    lower = (odd + 1) // 2
+    stack = [(0, 0, odd, 0, None, lower)]
+    # a pop scans the free list, up to n vertices, and undoes or redoes
+    # prefix entries at a cost of their degrees, once per entry pushed;
+    # so the clock is read every 256 pops, or more often past 256 vertices
     every = min(256, 65536 // (n + 1) + 1)
     states = 0
     timed_out = False
-    lower = parity_lower_bound(g)
     while stack:
         cost, v, deficit, depth, key, least = stack.pop()
         states += 1
@@ -294,14 +304,21 @@ def brush_number_bnb(
             timed_out = True
             break
         if depth:
+            # undo before path[depth - 1] is overwritten
+            while applied >= depth:
+                applied -= 1
+                w = path[applied]
+                insort(free, w)
+                for x in adj[w]:
+                    marg[x] += 2
             path[depth - 1] = v
             sets[depth] = sets[depth - 1] | 1 << v
-        mask = sets[depth]
-        if mask == full:
+        if depth == n:
             if cost < best_cost:
                 best_cost, best_seq = cost, tuple(path)
                 cap = min(cap, cost)
             continue
+        mask = sets[depth]
         if key is None:
             key = mask
         seen = memo.get(key)
@@ -312,19 +329,25 @@ def brush_number_bnb(
         lb = (deficit + 1) // 2
         if cost + (lb if lb > 0 else 0) >= cap:
             continue
+        while applied < depth:
+            w = path[applied]
+            applied += 1
+            free.remove(w)
+            for x in adj[w]:
+                marg[x] -= 2
         # (cost, vertex, deficit, cost plus parity bound) of each child
         # that can beat cap; the last vertex adds no cost, so it can
         children = []
-        for u in range(n):
-            if not mask >> u & 1:
-                marg = degs[u] - 2 * (masks[u] & mask).bit_count()
-                child_cost = cost + marg if marg > 0 else cost
-                child_deficit = deficit - (degs[u] & 1) - marg
-                bound = child_cost + (child_deficit + 1) // 2 if child_deficit > 0 else child_cost
-                if bound < cap:
-                    children.append((child_cost, u, child_deficit, bound))
+        for u in free:
+            m = marg[u]
+            child_cost = cost + m if m > 0 else cost
+            child_deficit = deficit - odd_of[u] - m
+            bound = child_cost + (child_deficit + 1) // 2 if child_deficit > 0 else child_cost
+            if bound < cap:
+                children.append((child_cost, u, child_deficit, bound))
         if not children:
             continue
+        children.sort(reverse=True)
         if orbits:
             if depth:
                 np.bitwise_or(images_of[depth - 1], images[v], out=images_of[depth])
@@ -332,7 +355,7 @@ def brush_number_bnb(
         else:
             keys = [mask | 1 << c[1] for c in children]
         least = stack[-1][5] if stack else cap
-        for (c, u, d, b), k in sorted(zip(children, keys), reverse=True):
+        for (c, u, d, b), k in zip(children, keys):
             seen = memo.get(k)
             if seen is None or seen > c:
                 least = b if b < least else least

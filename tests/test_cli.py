@@ -670,6 +670,14 @@ def test_report_km_cn_skips_over_cap(capsys):
     assert "rows=2" in summary and "skipped=1" in summary and summary.endswith("conclusion=scaled")
 
 
+def test_report_km_cn_no_solved_row_concludes_none(capsys):
+    code, out, _ = run(
+        capsys, "report", "km-cn", "--instances", "5x5", "--max-dp-vertices", "16"
+    )
+    assert code == 0
+    assert out.splitlines()[-1].endswith("skipped=1 incomplete=0 conclusion=none")
+
+
 def test_report_torus_past_dp_cap(capsys):
     # 28 vertices, over the DP cap: the branch-and-bound must finish
     code, out, _ = run(capsys, "report", "torus", "--instances", "4x7", "--jobs", "1")

@@ -361,6 +361,21 @@ BNB_PINS = [
         graph_from_edges(10, BAD_HINT_EDGES), 7,
         7, 47, (6, 5, 4, 7, 9, 1, 3, 2, 0, 8), True, id="bad-hint-7",
     ),
+    # plain keys with deep backtracks: the prefix state is undone and redone
+    pytest.param(
+        random_graph(random.Random(2), 17, 0.35), None,
+        15, 1043, (2, 3, 0, 12, 4, 5, 7, 16, 1, 6, 13, 9, 8, 10, 11, 14, 15), True,
+        id="gnp-17-seed2",
+    ),
+    pytest.param(
+        random_graph(random.Random(2), 17, 0.35), 13,
+        15, 660, (2, 3, 0, 12, 4, 5, 7, 16, 1, 6, 13, 9, 8, 10, 11, 14, 15), False,
+        id="gnp-17-seed2-hint-13",
+    ),
+    pytest.param(
+        cartesian_product(make_clique(4), make_path(4))[0], None,
+        16, 509, (0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15), True, id="K4xP4",
+    ),
 ]
 
 
