@@ -18,7 +18,6 @@ import graphlib
 import heapq
 from collections import deque
 from collections.abc import Iterator, Sized
-from dataclasses import dataclass
 
 from .errors import (
     InfeasibleStepError,
@@ -27,11 +26,10 @@ from .errors import (
     InvalidSequenceError,
     ParseError,
 )
-from .graphs import Graph, _data_lines, _read_header
+from .graphs import Graph, Record, _data_lines, _read_header
 
 
-@dataclass(frozen=True)
-class BrushConfig:
+class BrushConfig(Record):
     """Per-vertex brush counts."""
 
     counts: tuple[int, ...]
@@ -51,8 +49,7 @@ class BrushConfig:
         return sum(self.counts)
 
 
-@dataclass(frozen=True)
-class CleaningSequence:
+class CleaningSequence(Record):
     """Order in which vertices are cleaned; a permutation or a prefix of one."""
 
     order: tuple[int, ...]
@@ -68,8 +65,7 @@ class CleaningSequence:
         return iter(self.order)
 
 
-@dataclass(frozen=True)
-class Orientation:
+class Orientation(Record):
     """A direction (tail, head) for every edge of a host graph."""
 
     vertex_count: int
@@ -88,8 +84,7 @@ class Orientation:
         return out
 
 
-@dataclass(frozen=True)
-class CleaningStep:
+class CleaningStep(Record):
     """One firing: which vertex cleaned, what it held, where brushes went."""
 
     vertex: int
@@ -98,8 +93,7 @@ class CleaningStep:
     forwarded_to: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CleaningTrace:
+class CleaningTrace(Record):
     steps: tuple[CleaningStep, ...]
     final_brushes: tuple[int, ...]
 

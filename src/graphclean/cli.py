@@ -149,6 +149,13 @@ def _check_minimum(option: str, value: int, low: int) -> None:
         raise InvalidParameterError(f"{option} must be at least {low}, got {value}")
 
 
+def _refuse_unread(reason: str, *options: tuple[str, object]) -> None:
+    """Refuse a given option that the command would ignore."""
+    for option, value in options:
+        if value is not None:
+            raise InvalidParameterError(f"{option} {reason}")
+
+
 def _write_cleaning(prefix: str, g: Graph, w0: BrushConfig, seq: CleaningSequence) -> None:
     """Write a cleaning as prefix.graph, prefix.config and prefix.sequence,
     or, if one of them cannot be written, remove those already written."""
@@ -197,6 +204,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     _check_timeout(args.timeout)
     _check_minimum("--max-dp-vertices", args.max_dp_vertices, 0)
+    if args.method != "bnb":
+        _refuse_unread("applies only to --method bnb", ("--upper-hint", args.upper_hint))
     g = _load(parse_edge_list, args.graph)
     if args.method == "dp":
         result = brush_number_dp(g, max_vertices=args.max_dp_vertices)
@@ -275,6 +284,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------- reduce
 
 def cmd_reduce(args: argparse.Namespace) -> int:
+    if args.kind != "torus-rows":
+        _refuse_unread("applies only to torus-rows", ("--row", args.row))
     lab = ProductLabeling(args.m, args.n)
     w0 = _load(parse_brush_config, args.config)
     seq = _load(parse_sequence, args.sequence)
@@ -427,11 +438,17 @@ def cmd_report(args: argparse.Namespace) -> int:
     _check_minimum("--jobs", args.jobs, 1)
     suite = args.suite
     cap = args.max_dp_vertices
+    ranges = ("--m-range", args.m_range), ("--n-range", args.n_range)
     if suite == "box":
+        _refuse_unread("does not apply to the box suite", ("--instances", args.instances), *ranges)
         if not args.factor:
             raise InvalidParameterError("box suite needs --factor (e.g. P2, C3)")
-        tasks = [partial(_box_row, args.order, args.factor, cap)]
+        order = 3 if args.order is None else args.order
+        tasks = [partial(_box_row, order, args.factor, cap)]
     else:
+        _refuse_unread("applies only to the box suite", ("--order", args.order), ("--factor", args.factor))
+        if args.instances is not None:
+            _refuse_unread("cannot be combined with --instances", *ranges)
         if args.instances:
             instances = _parse_instances(args.instances)
         elif suite == "km-cn" and not (args.m_range or args.n_range):
@@ -526,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-range")
     p.add_argument("--n-range")
     p.add_argument("--instances", help="explicit MxN list, e.g. 3x3,4x5")
-    p.add_argument("--order", type=int, default=3, help="left-factor order for the box suite")
+    p.add_argument("--order", type=int, help="left-factor order for the box suite (default 3)")
     p.add_argument("--factor", help="right factor for the box suite, e.g. P2")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--max-dp-vertices", type=int, default=DEFAULT_DP_CAP)

@@ -9,7 +9,6 @@ K_m x P_n: clique index i, path index j, same flat id rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .cleaning import BrushConfig, CleaningSequence, check_cleaning, cleaning_order
@@ -20,7 +19,9 @@ from .errors import (
     InvalidParameterError,
     PreconditionViolationError,
 )
-from .graphs import Graph, ProductLabeling, cartesian_product, make_clique, make_cycle, make_path
+from .graphs import (
+    Graph, ProductLabeling, Record, cartesian_product, make_clique, make_cycle, make_path
+)
 
 
 # ---------------------------------------------------------------- families
@@ -165,8 +166,7 @@ def _product(
     return build
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Record):
     """A graph family: label names an instance with one {} per integer
     parameter; build checks the parameters and makes the graph; config,
     sequence and formula give the closed-form optimal cleaning and the
@@ -280,8 +280,7 @@ def _merge_lines(
     return new_g, new_lab, new_w0, new_seq, vmap
 
 
-@dataclass(frozen=True)
-class CorrectRows:
+class CorrectRows(Record):
     """Adjacent index pair whose merge frees two brushes.
 
     axis is "rows" or "cols"; pair is ordered along the cycle, so it may
@@ -295,8 +294,7 @@ class CorrectRows:
     target: int
 
 
-@dataclass(frozen=True)
-class TorusReduction:
+class TorusReduction(Record):
     """A merged torus cleaning with two brushes removed."""
 
     graph: Graph
@@ -454,8 +452,7 @@ def _simulate_or_invalid(g: Graph, w0: BrushConfig, seq: CleaningSequence) -> No
 _CLASS_ADJUST = {"a": 1, "e": 1, "c": -1, "g": -1}
 
 
-@dataclass(frozen=True)
-class BoundaryClassCounts:
+class BoundaryClassCounts(Record):
     """Counts of the eight kinds of adjacent pair straddling the first
     two clique copies, keyed by (first holds brushes?, cleaning
     direction, second holds brushes?).  diagnostics lists departures

@@ -11,7 +11,6 @@ from __future__ import annotations
 import time
 import warnings
 from bisect import bisect
-from dataclasses import dataclass
 from itertools import accumulate, pairwise
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -21,8 +20,71 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class Graph:
+class Record:
+    """Base of the immutable value types.  It stands in for frozen
+    dataclasses, whose module (with the inspect module it loads) and
+    generated methods took most of the package's import time.
+
+    A subclass's own annotated names, in order, are its fields, and a
+    class attribute of the same name is that field's default.  Records
+    are built by position or by name and then run __post_init__; they
+    compare and hash by class and field values and refuse assignment
+    and deletion.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", {}))
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):  # not the all-positional call
+            name = self.__class__.__qualname__
+            if len(args) > len(fields):
+                raise TypeError(f"{name}() takes {len(fields)} fields, got {len(args)}")
+            for key in kwargs:
+                if key not in fields:
+                    raise TypeError(f"{name}() has no field {key!r}")
+                if fields.index(key) < len(args):
+                    raise TypeError(f"{name}() got field {key!r} twice")
+            values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+            missing = [f for f in fields if f not in values]
+            if missing:
+                raise TypeError(f"{name}() missing field {missing[0]!r}")
+            args = [values[f] for f in fields]
+        # one field at a time: filling self.__dict__ in one update would
+        # make CPython keep a separate dict and read every field slower
+        for field, value in zip(fields, args):
+            object.__setattr__(self, field, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(Record):
     """Undirected simple graph: adjacency[v] is the tuple of v's
     neighbours in ascending order."""
 
@@ -215,8 +277,7 @@ def automorphisms(g: Graph, limit: int, deadline: float | None = None) -> np.nda
     return group[:limit]
 
 
-@dataclass(frozen=True)
-class ProductLabeling:
+class ProductLabeling(Record):
     """Coordinate map for a product graph: (i, j) <-> flat id i*n + j.
 
     m is the order of the left factor, n of the right factor.

@@ -22,7 +22,6 @@ from __future__ import annotations
 import heapq
 import time
 from bisect import insort
-from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import TYPE_CHECKING
 
@@ -35,6 +34,7 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    Record,
     automorphisms,
     cartesian_product,
     is_connected,
@@ -69,8 +69,7 @@ _INF = 1 << 28
 _UNREACHED = 16383
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(Record):
     value: int
     witness: CleaningSequence
     method: str
@@ -411,8 +410,7 @@ def brute_force_permutations(g: Graph, *, max_vertices: int = 9) -> SolveResult:
     )
 
 
-@dataclass(frozen=True)
-class BoxConjectureReport:
+class BoxConjectureReport(Record):
     """Outcome of sweeping every labeled graph on m vertices against one
     fixed right factor: products of paths should sit at the bottom and
     products of cliques at the top.

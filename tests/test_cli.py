@@ -272,6 +272,59 @@ def test_negative_dp_cap_is_rejected(tmp_path, capsys, command):
     assert "--max-dp-vertices must be at least 0, got -1" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["solve", "{t45}.graph", "--upper-hint", "3"],
+            "--upper-hint applies only to --method bnb",
+        ),
+        (
+            ["solve", "{t45}.graph", "--method", "brute", "--upper-hint", "3"],
+            "--upper-hint applies only to --method bnb",
+        ),
+        (
+            ["reduce", "clique-layer", "4", "3", "--config", "{kp43}.config",
+             "--sequence", "{kp43}.sequence", "--row", "7"],
+            "--row applies only to torus-rows",
+        ),
+        (
+            ["report", "torus", "--instances", "3x3", "--factor", "P2"],
+            "--factor applies only to the box suite",
+        ),
+        (["report", "km-pn", "--order", "3"], "--order applies only to the box suite"),
+        (
+            ["report", "box", "--order", "3", "--factor", "P2", "--instances", "3x3"],
+            "--instances does not apply to the box suite",
+        ),
+        (
+            ["report", "box", "--factor", "P2", "--m-range", "2..3"],
+            "--m-range does not apply to the box suite",
+        ),
+        (
+            ["report", "torus", "--instances", "3x3", "--m-range", "4..5"],
+            "--m-range cannot be combined with --instances",
+        ),
+        (
+            ["report", "km-cn", "--instances", "3x3", "--n-range", "3..4"],
+            "--n-range cannot be combined with --instances",
+        ),
+    ],
+    ids=[
+        "hint-dp", "hint-brute", "row-clique-layer", "factor-torus", "order-km-pn",
+        "instances-box", "range-box", "instances-and-range", "instances-and-n-range",
+    ],
+)
+def test_unread_option_is_refused(tmp_path, capsys, argv, message):
+    # an option the command would ignore is bad input, not silently dropped
+    t45, kp43 = tmp_path / "t45", tmp_path / "kp43"
+    assert run(capsys, "gen", "torus", "4", "5", "-o", f"{t45}.graph")[0] == 0
+    assert run(capsys, "config", "km-pn", "4", "3", "--out-prefix", str(kp43))[0] == 0
+    code, out, err = run(capsys, *(a.format(t45=t45, kp43=kp43) for a in argv))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 # ------------------------------------------------- many calls, one process
 
 def test_main_keeps_no_options_between_calls(tmp_path, capsys):
@@ -301,7 +354,8 @@ def test_import_leaves_out_the_process_pool():
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         f"import sys; sys.path.insert(0, {str(src)!r}); import graphclean.cli; "
-        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+        "print(sorted({'multiprocessing', 'concurrent.futures', 'dataclasses', 'inspect'}"
+        " & set(sys.modules)))"
     )
     out = subprocess.run(
         [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
