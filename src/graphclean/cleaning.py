@@ -6,17 +6,17 @@ incident edges, and cleaning it sends exactly one brush along each dirty
 edge (surplus brushes stay behind).  A vertex with no dirty incident
 edges may always be cleaned, at zero cost.
 
-The rule lives in one loop, fire.  simulate records its firings as a
-CleaningTrace and verify --sequence prints them; check_cleaning,
-cleaning_order, config and the constructions' self-checks only need
-the loop to finish, so they build no steps.
+Positions alone fix each firing of a complete sequence, so the rule
+lives in check_cleaning, which moves no brush.  cleaning_order, config
+and the constructions' self-checks only need its verdict; fire runs it
+first and then reads each step from the positions, for simulate's
+CleaningTrace and verify --sequence's step lines.
 """
 
 from __future__ import annotations
 
 import graphlib
 import heapq
-from collections import deque
 from collections.abc import Iterator, Sized
 
 from .errors import (
@@ -109,19 +109,22 @@ def _check_sizes(g: Graph, counts: Sized) -> None:
         )
 
 
-def _check_complete(g: Graph, seq: CleaningSequence) -> None:
-    if len(seq) != g.vertex_count or not all(
-        0 <= v < g.vertex_count for v in seq.order
-    ):
-        raise InvalidSequenceError(
-            f"sequence must visit each of the {g.vertex_count} vertices exactly once"
-        )
+def _positions(n: int, seq: CleaningSequence) -> list[int]:
+    """pos[v] = k when seq fires v k-th; InvalidSequenceError unless seq visits all n vertices."""
+    pos = [0] * n
+    if len(seq) == n:  # a CleaningSequence repeats no vertex
+        for k, v in enumerate(seq.order):
+            if not 0 <= v < n:
+                break
+            pos[v] = k
+        else:
+            return pos
+    raise InvalidSequenceError(f"sequence must visit each of the {n} vertices exactly once")
 
 
 def orientation_from_sequence(g: Graph, seq: CleaningSequence) -> Orientation:
     """Direct every edge from its earlier-cleaned endpoint to the later one."""
-    _check_complete(g, seq)
-    pos = {v: k for k, v in enumerate(seq.order)}
+    pos = _positions(g.vertex_count, seq)
     arcs = tuple(
         (u, v) if pos[u] < pos[v] else (v, u) for u, v in g.edges()
     )
@@ -167,29 +170,43 @@ def fire(
 ) -> Iterator[tuple[int, int, list[int]]]:
     """Fire a complete sequence in order, updating brushes in place.
 
-    Yields (vertex, brushes before, sorted dirty neighbours) per firing.
-    Raises InfeasibleStepError at the first vertex fired with fewer
-    brushes than dirty incident edges.
+    Runs check_cleaning first, so it raises InfeasibleStepError, before
+    any step, at the first vertex fired with fewer brushes than dirty
+    incident edges.  Then yields (vertex, brushes before, sorted
+    dirty neighbours) per firing, read from the positions, and leaves
+    each vertex its final brushes as it fires.
     """
-    _check_sizes(g, brushes)
-    _check_complete(g, seq)
+    pos = check_cleaning(g, BrushConfig(tuple(brushes)), seq)
     adjacency = g.adjacency
-    cleaned = [False] * g.vertex_count
-    for v in seq:
-        dirty = [u for u in adjacency[v] if not cleaned[u]]
-        have, need = brushes[v], len(dirty)
-        if have < need:
-            raise InfeasibleStepError(v, have, need)
-        for u in dirty:
-            brushes[u] += 1
-        brushes[v] -= need
-        cleaned[v] = True
+    for k, v in enumerate(seq.order):
+        nbrs = adjacency[v]
+        dirty = [u for u in nbrs if pos[u] > k]
+        have = brushes[v] + len(nbrs) - len(dirty)
+        brushes[v] = have - len(dirty)
         yield v, have, dirty
 
 
-def check_cleaning(g: Graph, w0: BrushConfig, seq: CleaningSequence) -> None:
-    """Raise InfeasibleStepError unless seq cleans g from w0; builds no steps."""
-    deque(fire(g, list(w0.counts), seq), maxlen=0)
+def check_cleaning(g: Graph, w0: BrushConfig, seq: CleaningSequence) -> list[int]:
+    """Raise InfeasibleStepError unless seq cleans g from w0, else return
+    the positions (pos[v] = k when seq fires v k-th).  Moves no brush:
+    the vertex v fired k-th holds w0[v] plus one brush per neighbour
+    fired before it (each fired while the edge to v was dirty; v sends
+    none before it fires) and owes one to each neighbour fired after it,
+    so this raises the (vertex, have, need) of the first short vertex in
+    seq's order."""
+    _check_sizes(g, w0)
+    pos = _positions(g.vertex_count, seq)
+    adjacency, counts = g.adjacency, w0.counts
+    for k, v in enumerate(seq.order):
+        need = 0
+        nbrs = adjacency[v]
+        for u in nbrs:
+            if pos[u] > k:
+                need += 1
+        have = counts[v] + len(nbrs) - need
+        if have < need:
+            raise InfeasibleStepError(v, have, need)
+    return pos
 
 
 def simulate(g: Graph, w0: BrushConfig, seq: CleaningSequence) -> CleaningTrace:

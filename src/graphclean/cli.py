@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from bisect import bisect
 from functools import cache, partial
 from pathlib import Path
 from typing import Callable, TypeVar
@@ -258,12 +259,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _load(parse_brush_config, args.config)
     if args.sequence:
         seq = _load(parse_sequence, args.sequence)
+        names = list(map(str, range(g.vertex_count)))
         lines = []
         try:
             for k, (v, before, dirty) in enumerate(fire(g, list(cfg.counts), seq), start=1):
-                edges = ",".join(f"{u}-{v}" if u < v else f"{v}-{u}" for u in dirty) or "-"
-                sent = ",".join(map(str, dirty)) or "-"
-                lines.append(f"step={k} vertex={v} before={before} cleaned={edges} sent={sent}")
+                # v's edges to the dirty neighbours below it, then above it
+                name, sent, split = names[v], [names[u] for u in dirty], bisect(dirty, v)
+                below = f"-{name},".join(sent[:split]) + f"-{name}" if split else ""
+                above = f"{name}-" + f",{name}-".join(sent[split:]) if split < len(sent) else ""
+                edges = f"{below},{above}" if below and above else below or above or "-"
+                lines.append(f"step={k} vertex={name} before={before} cleaned={edges} sent={','.join(sent) or '-'}")
         except InfeasibleStepError as exc:
             print("feasible=false")
             print(f"failed_vertex={exc.vertex} have={exc.have} need={exc.need}")

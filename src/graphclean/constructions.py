@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .cleaning import BrushConfig, CleaningSequence, check_cleaning, cleaning_order
+from .cleaning import BrushConfig, CleaningSequence, _positions, check_cleaning, cleaning_order
 from .errors import (
     InfeasibleStepError,
     InternalInconsistencyError,
@@ -247,15 +247,15 @@ def _merge_lines(
     seq: CleaningSequence,
     axis: str,
     low: int,
-) -> tuple[Graph, ProductLabeling, BrushConfig, CleaningSequence, list[int]]:
+) -> tuple[Graph, ProductLabeling, BrushConfig, CleaningSequence, list[int], list[int]]:
     """Merge line low with the next line along axis ("rows" or "cols"),
     keeping the input's labelling.
 
     Line k maps to (k - (k > low)) % (length - 1), so the wrapped pair
     (length - 1, 0) folds onto line 0.  Returns the merged torus, its
-    labelling, config and first-occurrence sequence, and the vertex map
-    as a list indexed by input vertex.  The input must already have
-    been simulated, which checks that every id is in range.
+    labelling, config, first-occurrence sequence and its positions, and
+    the vertex map as a list indexed by input vertex.  The input must
+    already have been simulated, which checks that every id is in range.
     """
     m, n = labeling.m, labeling.n
     if axis == "rows":
@@ -272,12 +272,12 @@ def _merge_lines(
     # dict keys keep each merged vertex at its first position in seq
     new_seq = CleaningSequence(tuple(dict.fromkeys(vmap[v] for v in seq)))
     try:
-        check_cleaning(new_g, new_w0, new_seq)
+        new_pos = check_cleaning(new_g, new_w0, new_seq)
     except InfeasibleStepError as exc:  # ruled out for valid inputs
         raise InternalInconsistencyError(
             f"merged cleaning failed at vertex {exc.vertex}"
         ) from exc
-    return new_g, new_lab, new_w0, new_seq, vmap
+    return new_g, new_lab, new_w0, new_seq, new_pos, vmap
 
 
 class CorrectRows(Record):
@@ -344,12 +344,11 @@ def reduce_torus(
     if m < 4 and n < 4:
         raise InvalidParameterError(f"no axis of {m} x {n} can be shortened")
     g = FAMILIES["torus"].build(m, n)
-    _simulate_or_invalid(g, w0, seq)
+    pos = _simulate_or_invalid(g, w0, seq)
     if w0.total != torus_brush_number(m, n):
         raise PreconditionViolationError(
             f"input total {w0.total} is not the optimal {torus_brush_number(m, n)}"
         )
-    pos = {v: k for k, v in enumerate(seq.order)}
     for t in seq:
         if w0[t] >= 4:
             continue
@@ -392,10 +391,9 @@ def _attempt_reduction(
     target: int,
     earlier: list[int],
 ) -> TorusReduction | None:
-    merged_g, merged_lab, merged_cfg, merged_seq, vmap = _merge_lines(
+    merged_g, merged_lab, merged_cfg, merged_seq, merged_pos, vmap = _merge_lines(
         labeling, w0, seq, axis, pair[0]
     )
-    merged_pos = {v: k for k, v in enumerate(merged_seq.order)}
     merged_tgt = vmap[target]
     candidates: list[int] = []
     if merged_cfg[merged_tgt] >= 6:
@@ -438,9 +436,9 @@ def _attempt_reduction(
     return None
 
 
-def _simulate_or_invalid(g: Graph, w0: BrushConfig, seq: CleaningSequence) -> None:
+def _simulate_or_invalid(g: Graph, w0: BrushConfig, seq: CleaningSequence) -> list[int]:
     try:
-        check_cleaning(g, w0, seq)
+        return check_cleaning(g, w0, seq)
     except InfeasibleStepError as exc:
         raise InvalidInputError(
             f"input pair does not clean the graph: {exc}"
@@ -474,7 +472,7 @@ class BoundaryClassCounts(Record):
 
 
 def _boundary_classes(
-    labeling: ProductLabeling, w0: BrushConfig, pos: dict[int, int]
+    labeling: ProductLabeling, w0: BrushConfig, pos: list[int]
 ) -> list[str]:
     # the class of pair x, from its key bits: first copy empty, cleaned
     # from the second copy, second copy empty
@@ -502,7 +500,7 @@ def _boundary_counts(
 ) -> BoundaryClassCounts:
     # classify_boundary_pairs on an input already checked
     m = labeling.m
-    pos = {v: k for k, v in enumerate(seq.order)}
+    pos = _positions(m * labeling.n, seq)
     classes = _boundary_classes(labeling, w0, pos)
     diagnostics: list[str] = []
     if m % 2 == 0:
@@ -535,7 +533,7 @@ def delete_clique_layer(
     """
     m, n = labeling.m, labeling.n
     _simulate_or_invalid(FAMILIES["km-pn"].build(m, n), w0, seq)
-    pos = {v: k for k, v in enumerate(seq.order)}
+    pos = _positions(m * n, seq)
     classes = _boundary_classes(labeling, w0, pos)
 
     new_lab = ProductLabeling(m, n - 1)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 import warnings
 from bisect import bisect
-from itertools import accumulate, pairwise
+from itertools import accumulate, pairwise, repeat
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import InvalidParameterError, ParseError
@@ -309,19 +309,18 @@ def cartesian_product(g: Graph, h: Graph) -> tuple[Graph, ProductLabeling]:
     when j~j' in h.  Returns the product plus the coordinate labeling.
     """
     # a product of simple graphs is simple, so no edge needs validating;
-    # (i, j)'s neighbours k*n + j with k < i, then the row i*n + k, then
-    # those with k > i, are already ascending
+    # (i, j)'s neighbours k*n + j with k < i (column j of rows k zipped),
+    # then the row i*n + k, then those with k > i, are already ascending
     n = h.vertex_count
     adjacency = []
     for i, left in enumerate(g.adjacency):
         split = bisect(left, i)
-        below = [k * n for k in left[:split]]
-        above = [k * n for k in left[split:]]
         row = i * n
-        for j, right in enumerate(h.adjacency):
-            adjacency.append(
-                tuple([c + j for c in below] + [row + k for k in right] + [c + j for c in above])
-            )
+        columns = [range(k * n, k * n + n) for k in left]
+        below = zip(*columns[:split]) if split else repeat(())
+        above = zip(*columns[split:]) if split < len(left) else repeat(())
+        right = [tuple([row + k for k in r]) for r in h.adjacency]
+        adjacency += map(tuple.__add__, map(tuple.__add__, below, right), above)
     return Graph(g.vertex_count * n, tuple(adjacency)), ProductLabeling(g.vertex_count, n)
 
 

@@ -2,13 +2,18 @@
 
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from graphclean import (
+    BrushConfig,
+    CleaningSequence,
     brush_number_dp,
     cartesian_product,
+    graph_from_edges,
     make_clique,
     make_cycle,
     minimal_config_for_sequence,
@@ -496,6 +501,54 @@ def test_verify_sequence_text_is_pinned(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(graph), str(config), "--sequence", str(seq))
     assert code == 1
     assert out == "feasible=false\nfailed_vertex=2 have=1 need=2\n"
+
+
+def _verify_by_moving_brushes(g, counts, order):
+    """verify --sequence's exit code and stdout, from brushes moved one
+    firing at a time."""
+    brushes, fired, lines = list(counts), set(), []
+    for k, v in enumerate(order, start=1):
+        dirty = sorted(u for u in g.adjacency[v] if u not in fired)
+        if brushes[v] < len(dirty):
+            return 1, f"feasible=false\nfailed_vertex={v} have={brushes[v]} need={len(dirty)}\n"
+        edges = ",".join(f"{min(u, v)}-{max(u, v)}" for u in dirty) or "-"
+        sent = ",".join(str(u) for u in dirty) or "-"
+        lines.append(f"step={k} vertex={v} before={brushes[v]} cleaned={edges} sent={sent}")
+        for u in dirty:
+            brushes[u] += 1
+        brushes[v] -= len(dirty)
+        fired.add(v)
+    return 0, "\n".join(lines + ["feasible=true", f"total={sum(counts)}"]) + "\n"
+
+
+@st.composite
+def cleanings(draw):
+    # the edge set and the firing order are drawn apart, so a fired
+    # vertex's later neighbours lie both below and above it
+    n = draw(st.integers(1, 8))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = graph_from_edges(n, [pair for pair, k in zip(pairs, keep) if k])
+    seq = CleaningSequence(tuple(draw(st.permutations(range(n)))))
+    stocked = draw(st.booleans())
+    floor = minimal_config_for_sequence(g, seq).counts if stocked else (0,) * n
+    extra = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return g, BrushConfig(tuple(map(sum, zip(floor, extra)))), seq
+
+
+@given(cleanings())
+# on C4, 3 fires first holding 1 of the 2 brushes it owes and 1 fires
+# next holding 0 of 2: the first short vertex in order is 3, not 1
+@example((make_cycle(4), BrushConfig((0, 0, 0, 1)), CleaningSequence((3, 1, 0, 2))))
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_verify_sequence_matches_moving_brushes(tmp_path, capsys, case):
+    g, w0, seq = case
+    paths = [tmp_path / name for name in ("g.graph", "w.config", "s.sequence")]
+    texts = [serialize_edge_list(g), serialize_brush_config(w0), serialize_sequence(seq, g.vertex_count)]
+    for path, text in zip(paths, texts):
+        path.write_text(text)
+    code, out, err = run(capsys, "verify", str(paths[0]), str(paths[1]), "--sequence", str(paths[2]))
+    assert (code, out, err) == (*_verify_by_moving_brushes(g, w0.counts, seq.order), "")
 
 
 # --------------------------------------------------------------- reduce
