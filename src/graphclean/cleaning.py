@@ -1,4 +1,4 @@
-"""Cleaning process semantics: configurations, sequences, orientations, traces.
+"""Cleaning process semantics: configurations, sequences, traces.
 
 The model: every vertex starts with a number of brushes; a vertex may be
 cleaned only while it holds at least as many brushes as it has dirty
@@ -15,14 +15,12 @@ CleaningTrace and verify --sequence's step lines.
 
 from __future__ import annotations
 
-import graphlib
 import heapq
 from collections.abc import Iterator, Sized
 
 from .errors import (
     InfeasibleStepError,
     InvalidInputError,
-    InvalidOrientationError,
     InvalidSequenceError,
     ParseError,
 )
@@ -65,25 +63,6 @@ class CleaningSequence(Record):
         return iter(self.order)
 
 
-class Orientation(Record):
-    """A direction (tail, head) for every edge of a host graph."""
-
-    vertex_count: int
-    arcs: tuple[tuple[int, int], ...]
-
-    def out_degrees(self) -> list[int]:
-        out = [0] * self.vertex_count
-        for tail, _ in self.arcs:
-            out[tail] += 1
-        return out
-
-    def in_degrees(self) -> list[int]:
-        out = [0] * self.vertex_count
-        for _, head in self.arcs:
-            out[head] += 1
-        return out
-
-
 class CleaningStep(Record):
     """One firing: which vertex cleaned, what it held, where brushes went."""
 
@@ -122,47 +101,23 @@ def _positions(n: int, seq: CleaningSequence) -> list[int]:
     raise InvalidSequenceError(f"sequence must visit each of the {n} vertices exactly once")
 
 
-def orientation_from_sequence(g: Graph, seq: CleaningSequence) -> Orientation:
-    """Direct every edge from its earlier-cleaned endpoint to the later one."""
-    pos = _positions(g.vertex_count, seq)
-    arcs = tuple(
-        (u, v) if pos[u] < pos[v] else (v, u) for u, v in g.edges()
-    )
-    return Orientation(g.vertex_count, arcs)
-
-
-def verify_acyclic(o: Orientation) -> bool:
-    """True when the oriented edges admit a topological order."""
-    preds: dict[int, list[int]] = {v: [] for v in range(o.vertex_count)}
-    for tail, head in o.arcs:
-        preds[head].append(tail)
-    try:
-        list(graphlib.TopologicalSorter(preds).static_order())
-    except graphlib.CycleError:
-        return False
-    return True
-
-
-def brush_cost(g: Graph, o: Orientation) -> int:
-    """Sum over vertices of max(0, outdegree - indegree)."""
-    undirected = {(min(t, h), max(t, h)) for t, h in o.arcs}
-    if len(undirected) != len(o.arcs) or undirected != set(g.edges()):
-        raise InvalidOrientationError("orientation does not match the graph's edge set")
-    outs, ins = o.out_degrees(), o.in_degrees()
-    return sum(max(0, d_out - d_in) for d_out, d_in in zip(outs, ins))
-
-
 def minimal_config_for_sequence(g: Graph, seq: CleaningSequence) -> BrushConfig:
-    """Fewest brushes per vertex that let seq clean g.
+    """Fewest brushes per vertex that let seq clean g: each vertex's
+    neighbours fired after it less those fired before it, or 0.
 
-    Equals max(0, outdegree - indegree) under the orientation induced
-    by the sequence.
+    That is max(0, outdegree - indegree) when every edge points from
+    its earlier-fired end to its later one (Messinger, Nowakowski and
+    Prałat, TCS 2008).
     """
-    o = orientation_from_sequence(g, seq)
-    outs, ins = o.out_degrees(), o.in_degrees()
-    return BrushConfig(
-        tuple(max(0, d_out - d_in) for d_out, d_in in zip(outs, ins))
-    )
+    pos = _positions(g.vertex_count, seq)
+    counts = []
+    for v, nbrs in enumerate(g.adjacency):
+        later = 0
+        for u in nbrs:
+            if pos[u] > pos[v]:
+                later += 1
+        counts.append(max(0, 2 * later - len(nbrs)))
+    return BrushConfig(tuple(counts))
 
 
 def fire(

@@ -307,14 +307,6 @@ class TorusReduction(Record):
     total_after: int
 
 
-def find_correct_rows(
-    labeling: ProductLabeling, w0: BrushConfig, seq: CleaningSequence
-) -> CorrectRows:
-    """The adjacent rows (or columns) whose merge admits removing two
-    brushes while staying cleanable; see reduce_torus."""
-    return reduce_torus(labeling, w0, seq).correct
-
-
 def reduce_torus(
     labeling: ProductLabeling, w0: BrushConfig, seq: CleaningSequence
 ) -> TorusReduction:

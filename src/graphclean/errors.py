@@ -43,12 +43,6 @@ class InvalidSequenceError(GraphCleanError, ValueError):
     exit_code = 2
 
 
-class InvalidOrientationError(GraphCleanError, ValueError):
-    """An orientation does not match the host graph's edge set."""
-
-    exit_code = 2
-
-
 class InfeasibleStepError(GraphCleanError):
     """A simulation step fired a vertex holding fewer brushes than it owes."""
 

@@ -1,11 +1,12 @@
-"""Brush bookkeeping: orientations, simulation, the greedy cleanability
-test, and the two small file formats.
+"""Brush bookkeeping: the orientation oracle, simulation, the greedy
+cleanability test, and the two small file formats.
 
 The exhaustive searcher at the bottom is the reference for can_clean:
 it tries every firing order, so greedy agreeing with it on random
 instances certifies that firing order never matters for success.
 """
 
+import graphlib
 from collections import deque
 from itertools import combinations, permutations
 
@@ -17,10 +18,8 @@ from graphclean import (
     CleaningSequence,
     InfeasibleStepError,
     InvalidInputError,
-    InvalidOrientationError,
     InvalidSequenceError,
     ParseError,
-    brush_cost,
     can_clean,
     cartesian_product,
     graph_from_edges,
@@ -28,7 +27,6 @@ from graphclean import (
     make_cycle,
     make_path,
     minimal_config_for_sequence,
-    orientation_from_sequence,
     parse_brush_config,
     parse_sequence,
     serialize_brush_config,
@@ -36,9 +34,8 @@ from graphclean import (
     simulate,
     torus_config,
     torus_sequence,
-    verify_acyclic,
 )
-from graphclean.cleaning import Orientation, check_cleaning, fire
+from graphclean.cleaning import check_cleaning, fire
 
 
 @st.composite
@@ -56,22 +53,53 @@ def graph_with_sequence(draw, max_vertices=7):
     return g, CleaningSequence(tuple(order))
 
 
-# ----------------------------------------------------------- orientations
+# ------------------------------------------------- the orientation oracle
+# A complete order directs every edge from its earlier-fired end to its
+# later one; the brushes the order needs are the sum of max(0, out - in)
+# over that acyclic orientation (Messinger, Nowakowski and Prałat, TCS
+# 2008).  The library computes them from positions alone.
+
+def orient(g, seq):
+    pos = {v: k for k, v in enumerate(seq.order)}
+    return [(u, v) if pos[u] < pos[v] else (v, u) for u, v in g.edges()]
+
+
+def acyclic(n, arcs):
+    preds = {v: [] for v in range(n)}
+    for tail, head in arcs:
+        preds[head].append(tail)
+    try:
+        list(graphlib.TopologicalSorter(preds).static_order())
+    except graphlib.CycleError:
+        return False
+    return True
+
+
+def imbalance(n, arcs):
+    """out(v) - in(v) for every vertex v."""
+    diff = [0] * n
+    for tail, head in arcs:
+        diff[tail] += 1
+        diff[head] -= 1
+    return diff
+
+
+def brush_cost(n, arcs):
+    return sum(max(0, d) for d in imbalance(n, arcs))
+
 
 def test_orientation_path():
-    g = make_path(3)
-    o = orientation_from_sequence(g, CleaningSequence((0, 1, 2)))
-    assert set(o.arcs) == {(0, 1), (1, 2)}
+    assert set(orient(make_path(3), CleaningSequence((0, 1, 2)))) == {(0, 1), (1, 2)}
 
 
 def test_orientation_triangle():
-    o = orientation_from_sequence(make_cycle(3), CleaningSequence((0, 1, 2)))
-    assert set(o.arcs) == {(0, 1), (0, 2), (1, 2)}
+    arcs = orient(make_cycle(3), CleaningSequence((0, 1, 2)))
+    assert set(arcs) == {(0, 1), (0, 2), (1, 2)}
 
 
 def test_orientation_square_interleaved():
-    o = orientation_from_sequence(make_cycle(4), CleaningSequence((0, 2, 1, 3)))
-    assert set(o.arcs) == {(0, 1), (0, 3), (2, 1), (2, 3)}
+    arcs = orient(make_cycle(4), CleaningSequence((0, 2, 1, 3)))
+    assert set(arcs) == {(0, 1), (0, 3), (2, 1), (2, 3)}
 
 
 def test_sequence_rejects_repeats():
@@ -80,21 +108,20 @@ def test_sequence_rejects_repeats():
 
 
 def test_orientation_rejects_wrong_length():
-    with pytest.raises(InvalidSequenceError):
-        orientation_from_sequence(make_path(3), CleaningSequence((0, 1)))
+    for order in (0, 1), (0, 1, 3):
+        with pytest.raises(InvalidSequenceError):
+            minimal_config_for_sequence(make_path(3), CleaningSequence(order))
 
 
 @given(graph_with_sequence())
 def test_sequence_orientations_are_acyclic(gs):
     g, seq = gs
-    assert verify_acyclic(orientation_from_sequence(g, seq))
+    assert acyclic(g.vertex_count, orient(g, seq))
 
 
 def test_cyclic_orientations_detected():
-    square = Orientation(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
-    assert not verify_acyclic(square)
-    triangle = Orientation(3, ((0, 1), (1, 2), (2, 0)))
-    assert not verify_acyclic(triangle)
+    assert not acyclic(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    assert not acyclic(3, [(0, 1), (1, 2), (2, 0)])
 
 
 # ------------------------------------------------------------ brush cost
@@ -103,14 +130,8 @@ def test_brush_cost_clique_order():
     # frozen from a direct count of later-minus-earlier neighbors
     g = make_clique(4)
     seq = CleaningSequence((0, 1, 2, 3))
-    o = orientation_from_sequence(g, seq)
-    assert brush_cost(g, o) == 4
+    assert brush_cost(4, orient(g, seq)) == 4
     assert minimal_config_for_sequence(g, seq).counts == (3, 1, 0, 0)
-
-
-def test_brush_cost_rejects_foreign_arcs():
-    with pytest.raises(InvalidOrientationError):
-        brush_cost(make_path(3), Orientation(3, ((0, 2),)))
 
 
 def test_minimal_config_path():
@@ -119,12 +140,17 @@ def test_minimal_config_path():
 
 
 @given(graph_with_sequence())
+def test_minimal_config_is_the_orientation_imbalance(gs):
+    g, seq = gs
+    diff = imbalance(g.vertex_count, orient(g, seq))
+    assert minimal_config_for_sequence(g, seq).counts == tuple(max(0, d) for d in diff)
+
+
+@given(graph_with_sequence())
 def test_cost_equals_half_total_imbalance(gs):
     g, seq = gs
-    o = orientation_from_sequence(g, seq)
-    outs, ins = o.out_degrees(), o.in_degrees()
-    doubled = sum(abs(a - b) for a, b in zip(outs, ins))
-    assert 2 * brush_cost(g, o) == doubled
+    diff = imbalance(g.vertex_count, orient(g, seq))
+    assert 2 * minimal_config_for_sequence(g, seq).total == sum(abs(d) for d in diff)
 
 
 # ------------------------------------------------------------ simulation

@@ -23,7 +23,6 @@ from graphclean import (
     cycle_config,
     cycle_sequence,
     delete_clique_layer,
-    find_correct_rows,
     km_pn_brush_number,
     km_pn_config,
     km_pn_config_odd,
@@ -276,10 +275,10 @@ def test_reduce_fallbacks_and_wrapped_pairs(m, n, order, axis, pair, removed_at,
         assert red.sequence == can_clean(red.graph, red.config)[1]
 
 
-def test_find_correct_rows_reports_adjacent_pair():
+def test_reduce_torus_reports_adjacent_correct_rows():
     g, lab = torus(4, 4)
     w0, seq, _ = dp_cleaning(g)
-    correct = find_correct_rows(lab, w0, seq)
+    correct = reduce_torus(lab, w0, seq).correct
     a, b = correct.pair
     size = lab.m if correct.axis == "rows" else lab.n
     assert b == (a + 1) % size

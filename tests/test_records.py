@@ -17,7 +17,6 @@ from graphclean import (
     Graph,
     InvalidInputError,
     InvalidSequenceError,
-    Orientation,
     ProductLabeling,
     SolveResult,
     TorusReduction,
@@ -40,10 +39,6 @@ RECORDS = [
     (ProductLabeling, (2, 3), dict(n=3, m=2), "ProductLabeling(m=2, n=3)"),
     (BrushConfig, ((1, 0),), dict(counts=(1, 0)), "BrushConfig(counts=(1, 0))"),
     (CleaningSequence, ((1, 0),), dict(order=(1, 0)), "CleaningSequence(order=(1, 0))"),
-    (
-        Orientation, (2, ((1, 0),)), dict(vertex_count=2, arcs=((1, 0),)),
-        "Orientation(vertex_count=2, arcs=((1, 0),))",
-    ),
     (
         CleaningStep, (1, 1, ((0, 1),), (0,)),
         dict(forwarded_to=(0,), cleaned_edges=((0, 1),), brushes_before=1, vertex=1),
