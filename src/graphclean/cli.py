@@ -39,6 +39,7 @@ from .errors import (
 )
 from .graphs import Graph, ProductLabeling, cartesian_product, parse_edge_list, serialize_edge_list
 from .solver import (
+    DEFAULT_BNB_TIMEOUT,
     DEFAULT_DP_CAP,
     brush_number_bnb,
     brush_number_dp,
@@ -138,15 +139,15 @@ def _parse_factor(spec: str) -> tuple[str, Graph]:
     return label.format(k), entry.build(k)
 
 
-def _check_timeout(seconds: float) -> None:
-    if not seconds >= 0:  # also refuses NaN, which no deadline check would ever pass
+def _check_timeout(seconds: float | None) -> None:
+    if seconds is not None and not seconds >= 0:  # NaN too: no deadline check would pass it
         raise InvalidParameterError(
             f"--timeout must be a non-negative number of seconds, got {seconds}"
         )
 
 
-def _check_minimum(option: str, value: int, low: int) -> None:
-    if value < low:
+def _check_minimum(option: str, value: int | None, low: int) -> None:
+    if value is not None and value < low:
         raise InvalidParameterError(f"{option} must be at least {low}, got {value}")
 
 
@@ -203,15 +204,21 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- solve
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    if args.method != "bnb":
+        _refuse_unread(
+            "applies only to --method bnb", ("--upper-hint", args.upper_hint), ("--timeout", args.timeout)
+        )
+    if args.method != "dp":
+        _refuse_unread("applies only to --method dp", ("--max-dp-vertices", args.max_dp_vertices))
     _check_timeout(args.timeout)
     _check_minimum("--max-dp-vertices", args.max_dp_vertices, 0)
-    if args.method != "bnb":
-        _refuse_unread("applies only to --method bnb", ("--upper-hint", args.upper_hint))
     g = _load(parse_edge_list, args.graph)
     if args.method == "dp":
-        result = brush_number_dp(g, max_vertices=args.max_dp_vertices)
+        cap = DEFAULT_DP_CAP if args.max_dp_vertices is None else args.max_dp_vertices
+        result = brush_number_dp(g, max_vertices=cap)
     elif args.method == "bnb":
-        result = brush_number_bnb(g, args.upper_hint, timeout=args.timeout)
+        timeout = DEFAULT_BNB_TIMEOUT if args.timeout is None else args.timeout
+        result = brush_number_bnb(g, args.upper_hint, timeout=timeout)
     else:
         result = brute_force_permutations(g)
     w0 = minimal_config_for_sequence(g, result.witness)
@@ -438,11 +445,15 @@ def _render_table(rows: list[dict[str, str]]) -> str:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    suite = args.suite
+    if suite in ("km-cn", "box"):
+        # only torus and km-pn rows fall back to branch-and-bound
+        _refuse_unread("applies only to the torus and km-pn suites", ("--timeout", args.timeout))
     _check_timeout(args.timeout)
     _check_minimum("--max-dp-vertices", args.max_dp_vertices, 0)
     _check_minimum("--jobs", args.jobs, 1)
-    suite = args.suite
-    cap = args.max_dp_vertices
+    cap = DEFAULT_DP_CAP if args.max_dp_vertices is None else args.max_dp_vertices
+    timeout = DEFAULT_BNB_TIMEOUT if args.timeout is None else args.timeout
     ranges = ("--m-range", args.m_range), ("--n-range", args.n_range)
     if suite == "box":
         _refuse_unread("does not apply to the box suite", ("--instances", args.instances), *ranges)
@@ -474,7 +485,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         if suite == "km-cn":
             tasks = [partial(_km_cn_row, m, n, cap) for m, n in instances]
         else:
-            tasks = [partial(_family_row, suite, m, n, cap, args.timeout) for m, n in instances]
+            tasks = [partial(_family_row, suite, m, n, cap, timeout) for m, n in instances]
 
     if args.jobs > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
@@ -519,9 +530,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="exact brush number of an edge-list file")
     p.add_argument("graph")
     p.add_argument("--method", choices=["dp", "bnb", "brute"], default="dp")
-    p.add_argument("--max-dp-vertices", type=int, default=DEFAULT_DP_CAP)
-    p.add_argument("--timeout", type=float, default=60.0)
-    p.add_argument("--upper-hint", type=int, default=None)
+    # default None, so that an option the method would ignore can be refused
+    p.add_argument("--max-dp-vertices", type=int)
+    p.add_argument("--timeout", type=float)
+    p.add_argument("--upper-hint", type=int)
 
     p = sub.add_parser("config", help="closed-form configuration for a family")
     p.add_argument("family", choices=[k for k, f in cons.FAMILIES.items() if f.config])
@@ -551,8 +563,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, help="left-factor order for the box suite (default 3)")
     p.add_argument("--factor", help="right factor for the box suite, e.g. P2")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--max-dp-vertices", type=int, default=DEFAULT_DP_CAP)
-    p.add_argument("--timeout", type=float, default=60.0)
+    p.add_argument("--max-dp-vertices", type=int)
+    p.add_argument("--timeout", type=float)
 
     return parser
 

@@ -44,6 +44,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_DP_CAP = 22
+DEFAULT_BNB_TIMEOUT = 60.0  # seconds
 # Vertex sets the branch-and-bound's dominance table holds; sets met
 # once it is full are searched but not recorded.
 BNB_MEMO_ENTRIES = 1_500_000
@@ -57,10 +58,11 @@ ORBIT_MIN_GROUP = 8
 # and 3.2 s with all; K7xP4 (|A| = 10080) 9.7 s with 2048, 6.4 s with all.
 ORBIT_MAX_GROUP = 2048
 # Peak bytes per subset state in brush_number_dp, traced at 16 vertices
-# where nothing is pruned (12.0 on the edgeless graph and K16): the int16
-# tables f and deficit (4) span every subset, the rest is the reached
-# layers and one chunk of DP_CHUNK_ROWS sets (1024 to 8192 time alike;
-# fewer use less).  That share shrinks as n grows (9.3 at 20, 9.1 at 22).
+# where nothing is pruned (12.8 on the edgeless graph and K16): the int16
+# tables f and h (4) span every subset, the rest is the reached
+# layers and one chunk of DP_CHUNK_ROWS sets (1024 to 4096 time alike,
+# 512 is about 10% slower; 2048 peaks at 19.5 and 512 at 11.1).  That
+# share shrinks as n grows (9.5 at 20, 9.2 at 22).
 DP_BYTES_PER_STATE = 13
 DP_CHUNK_ROWS = 1024
 
@@ -98,11 +100,11 @@ def _walk_back(f: np.ndarray, s: int, masks: list[int], degs: list[int]) -> list
     step takes off the lowest vertex id that the table accounts for."""
     seq = []
     while s:
-        here = int(f[s])
+        here = f.item(s)
         for v in range(len(masks)):
             prev_s = s ^ 1 << v
             step = degs[v] - 2 * (masks[v] & prev_s).bit_count()
-            if s >> v & 1 and here == int(f[prev_s]) + max(0, step):
+            if s >> v & 1 and here == f.item(prev_s) + max(0, step):
                 seq.append(v)
                 s = prev_s
                 break
@@ -128,12 +130,21 @@ def brush_number_dp(
     A set S is kept, and pushed to each S | u, only if f(S) + LB(S) <=
     cap, the greedy order's cost; LB(S) = max(0, ceil(deficit(S) / 2)),
     deficit(S) the odd-degree vertices outside S minus cut(S).  Others
-    hold _UNREACHED.  Adding u lowers LB by at most u's cost, so f + LB
-    never falls along a cheapest chain and every kept set has its exact
-    f; both halves of an optimal order have f + LB <= b(G) <= cap.  So
-    each optimal split and walk-back step is on exact entries, one through
-    an unreached set costs more, and the output is that of the full
-    table.  states is still the table size 2^|V|.
+    hold _UNREACHED.  The deficit is always even: deficit(empty) counts
+    the odd-degree vertices, and adding u lowers it by odd(u) + deg(u)
+    - 2|N(u) & S|.  So the table holds h(S) = deficit(S) / 2, LB(S) =
+    max(0, h(S)), and h(S | u) = h(S) + |N(u) & S| - ceil(deg(u) / 2):
+    S | u is kept when f(S) + step + max(0, h(S | u)) <= cap, step =
+    max(0, deg(u) - 2|N(u) & S|).  Adding u lowers LB by at most u's
+    cost, so f + LB never falls along a cheapest chain and every kept set
+    has its exact f; both halves of an optimal order have f + LB <= b(G)
+    <= cap.  So each optimal split and walk-back step is on exact
+    entries, one through an unreached set costs more, and the output is
+    that of the full table.  states is still the table size 2^|V|.
+
+    A layer is pushed in chunks of DP_CHUNK_ROWS sets, each a grid with
+    one row per vertex and one column per set, so that every ufunc runs
+    along the chunk rather than over the n vertices.
 
     Memory grows as 2^|V| (about DP_BYTES_PER_STATE bytes per subset);
     instances above max_vertices or memory_limit_mb are refused.
@@ -149,43 +160,53 @@ def brush_number_dp(
     import numpy as np
     start = time.perf_counter()
     masks, degs = _adjacency_masks(g)
-    marr = np.array(masks, dtype=np.int32)
-    darr = np.array(degs, dtype=np.int16)
-    odd = darr & 1
-    bits = np.left_shift(1, np.arange(n, dtype=np.int32))
+    # one row per vertex, so that every ufunc below runs along a chunk of sets
+    marr = np.array(masks, dtype=np.int32)[:, None]
+    bits = np.left_shift(1, np.arange(n, dtype=np.int32))[:, None]
+    darr = np.array(degs, dtype=np.int16)[:, None]
+    ceil_half = (darr + 1) >> 1
     size = 1 << n
     half = n // 2
     cap = _greedy_order(g)[1]
+    oddmask = sum(1 << v for v in range(n) if degs[v] % 2)
     # f(S) <= cap < _UNREACHED and 2*|N(v) & S| < 2^8 fit the int16
-    # table and uint8 counts; deficit(S) is written once S is reached
+    # tables and uint8 counts; h(S) is written once S is reached
     f = np.full(size, _UNREACHED, dtype=np.int16)
-    deficit = np.empty(size, dtype=np.int16)
-    f[0], deficit[0] = 0, odd.sum()
+    h = np.empty(size, dtype=np.int16)
+    f[0], h[0] = 0, oddmask.bit_count() // 2
     layer = halves = np.zeros(1, dtype=np.int32)
     for k in range(1, n - half + 1):
         fresh = []
         for lo in range(0, layer.size, DP_CHUNK_ROWS):
-            s = layer[lo : lo + DP_CHUNK_ROWS, None]
-            marg = darr - 2 * np.bitwise_count(s & marr)
-            cost = np.maximum(marg, 0) + np.take(f, s)
-            child_deficit = np.take(deficit, s) - odd - marg
-            bound = np.maximum(child_deficit + 1 >> 1, 0) + cost
+            s = layer[lo : lo + DP_CHUNK_ROWS]
+            common = np.bitwise_count(s & marr)
+            # sums in place: one temporary fewer each, a few % on 15-20 vertices
+            cost = np.maximum(darr - 2 * common, 0)
+            cost += np.take(f, s)
+            child_h = np.take(h, s) - ceil_half
+            child_h += common
+            bound = np.maximum(child_h, 0)
+            bound += cost
+            flip = s ^ bits  # S | v where v is outside S, else S - v
             # flat indices: a 2-d boolean index gathers about 5x slower
-            keep = np.flatnonzero((bound <= cap) & (s & bits == 0))
-            child = np.take(s | bits, keep)
+            keep = np.flatnonzero((bound <= cap) & (flip > s))
+            child = np.take(flip, keep)
             new = np.take(f, child) == _UNREACHED
             fresh.append(child[new])
-            deficit[fresh[-1]] = np.take(child_deficit, keep[new])
+            h[fresh[-1]] = np.take(child_h, keep[new])
             np.minimum.at(f, child, np.take(cost, keep))
         # the reached sets, ascending; np.unique is 40x slower at 2M
-        layer = np.sort(np.concatenate(fresh))
-        layer = layer[np.r_[True, layer[1:] != layer[:-1]]]
+        layer = np.concatenate(fresh)
+        layer.sort()
+        first = np.empty(layer.size, dtype=bool)
+        first[0] = True
+        np.not_equal(layer[1:], layer[:-1], out=first[1:])
+        layer = layer[first]
         if k == half:
             halves = layer
 
-    # reached halves only; cut(S) = odd-degree vertices outside S minus deficit(S)
-    oddmask = sum(1 << v for v in range(n) if degs[v] % 2)
-    cut = np.bitwise_count(~halves & oddmask) - np.take(deficit, halves)
+    # reached halves only; cut(S) = odd-degree vertices outside S minus 2h(S)
+    cut = np.bitwise_count(~halves & oddmask) - 2 * np.take(h, halves)
     total = np.take(f, halves) + np.take(f, (size - 1) ^ halves) - cut
     pick = int(np.argmin(total))
     value = int(total[pick])
@@ -226,7 +247,7 @@ def brush_number_bnb(
     g: Graph,
     upper_hint: int | None = None,
     *,
-    timeout: float | None = 60.0,
+    timeout: float | None = DEFAULT_BNB_TIMEOUT,
 ) -> SolveResult:
     """Branch-and-bound over cleaning prefixes, as one loop over an explicit stack.
 

@@ -314,10 +314,33 @@ def test_negative_dp_cap_is_rejected(tmp_path, capsys, command):
             ["report", "km-cn", "--instances", "3x3", "--n-range", "3..4"],
             "--n-range cannot be combined with --instances",
         ),
+        (["solve", "{t45}.graph", "--timeout", "1"], "--timeout applies only to --method bnb"),
+        (
+            ["solve", "{t45}.graph", "--method", "brute", "--timeout", "1"],
+            "--timeout applies only to --method bnb",
+        ),
+        (
+            ["solve", "{t45}.graph", "--method", "bnb", "--max-dp-vertices", "1"],
+            "--max-dp-vertices applies only to --method dp",
+        ),
+        (
+            ["solve", "{t45}.graph", "--method", "brute", "--max-dp-vertices", "1"],
+            "--max-dp-vertices applies only to --method dp",
+        ),
+        (
+            ["report", "km-cn", "--instances", "3x3", "--timeout", "1"],
+            "--timeout applies only to the torus and km-pn suites",
+        ),
+        (
+            ["report", "box", "--order", "3", "--factor", "P2", "--timeout", "1"],
+            "--timeout applies only to the torus and km-pn suites",
+        ),
     ],
     ids=[
         "hint-dp", "hint-brute", "row-clique-layer", "factor-torus", "order-km-pn",
         "instances-box", "range-box", "instances-and-range", "instances-and-n-range",
+        "timeout-dp", "timeout-brute", "dp-cap-bnb", "dp-cap-brute", "timeout-km-cn",
+        "timeout-box",
     ],
 )
 def test_unread_option_is_refused(tmp_path, capsys, argv, message):

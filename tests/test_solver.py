@@ -245,13 +245,16 @@ def unpruned_half_dp(g):
     return value, tuple(walk_back(s)[::-1] + walk_back(full ^ s))
 
 
-def test_pruned_dp_matches_unpruned_seeded():
+def seeded_cases():
     # the edgeless graph and K9 prune nothing and their greedy order is
     # optimal; the BAD_HINT_EDGES graph's greedy order costs 8 > b = 7
     cases = [graph_from_edges(10, []), make_clique(9), graph_from_edges(10, BAD_HINT_EDGES)]
     rng = random.Random(13)
-    cases += [random_graph(rng, n, p) for n in range(11) for p in (0.2, 0.4, 0.6, 0.8)]
-    for g in cases:
+    return cases + [random_graph(rng, n, p) for n in range(11) for p in (0.2, 0.4, 0.6, 0.8)]
+
+
+def test_pruned_dp_matches_unpruned_seeded():
+    for g in seeded_cases():
         result = brush_number_dp(g)
         assert (result.value, result.witness.order) == unpruned_half_dp(g)
 
@@ -261,6 +264,67 @@ def test_pruned_dp_matches_unpruned_seeded():
 def test_pruned_dp_matches_unpruned(g):
     result = brush_number_dp(g)
     assert (result.value, result.witness.order) == unpruned_half_dp(g)
+
+
+# At the default chunk size no layer of a graph on at most 10 vertices
+# spans two chunks; with 3 sets a chunk, a set reached from parents in
+# two chunks is new in the first and must keep the lower cost of both.
+
+def test_small_chunks_match_unpruned_seeded(monkeypatch):
+    monkeypatch.setattr(solver, "DP_CHUNK_ROWS", 3)
+    for g in seeded_cases():
+        result = brush_number_dp(g)
+        assert (result.value, result.witness.order) == unpruned_half_dp(g)
+
+
+@given(graphs(max_vertices=10))
+@settings(max_examples=80, deadline=None)
+def test_small_chunks_match_unpruned(g):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "DP_CHUNK_ROWS", 3)
+        result = brush_number_dp(g)
+    assert (result.value, result.witness.order) == unpruned_half_dp(g)
+
+
+# (value, witness order) on 15 to 20 vertices, where the unpruned DP is
+# too slow to compare against, recorded from the set-major kernel that
+# carried full deficits: a new layout of the layer loop must match them
+GOLDEN_DP = {
+    ("torus", 3, 5): (12, (6, 5, 4, 3, 0, 1, 2, 7, 8, 9, 10, 11, 12, 13, 14)),
+    ("torus", 4, 4): (12, (7, 6, 5, 4, 3, 2, 1, 0, 8, 9, 10, 11, 12, 13, 14, 15)),
+    ("torus", 3, 6): (14, (8, 7, 6, 5, 4, 0, 1, 2, 3, 9, 10, 11, 12, 13, 14, 15, 16, 17)),
+    ("torus", 4, 5): (
+        14, (9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19)
+    ),
+    ("km-pn", 3, 5): (11, (6, 5, 4, 3, 0, 1, 2, 7, 8, 9, 10, 11, 12, 13, 14)),
+    ("km-pn", 5, 3): (19, (6, 5, 4, 3, 2, 0, 1, 7, 8, 9, 10, 11, 12, 13, 14)),
+    ("km-pn", 4, 4): (16, (7, 6, 5, 4, 3, 2, 1, 0, 8, 9, 10, 11, 12, 13, 14, 15)),
+    ("km-pn", 3, 6): (13, (8, 7, 6, 5, 4, 0, 1, 2, 3, 9, 10, 11, 12, 13, 14, 15, 16, 17)),
+    ("km-pn", 6, 3): (27, (8, 7, 6, 5, 4, 3, 2, 1, 0, 9, 10, 11, 12, 13, 14, 15, 16, 17)),
+    ("km-pn", 4, 5): (
+        20, (9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19)
+    ),
+    ("km-pn", 5, 4): (
+        25, (9, 8, 7, 6, 5, 4, 3, 0, 1, 2, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19)
+    ),
+    # G(n, 0.3) drawn by random_graph(random.Random(n), n, 0.3)
+    ("gnp", 18, 46): (14, (16, 15, 14, 3, 13, 8, 9, 4, 5, 11, 1, 0, 2, 6, 7, 10, 12, 17)),
+    ("gnp", 20, 70): (
+        23, (17, 13, 11, 9, 1, 7, 6, 0, 5, 3, 10, 15, 19, 4, 2, 8, 12, 14, 16, 18)
+    ),
+}
+
+
+@pytest.mark.parametrize("key", GOLDEN_DP, ids=lambda k: "{}-{}-{}".format(*k))
+def test_dp_matches_golden(key):
+    kind, m, n = key
+    if kind == "gnp":
+        g = random_graph(random.Random(m), m, 0.3)
+        assert g.edge_count == n
+    else:
+        g = FAMILIES[kind].build(m, n)
+    result = brush_number_dp(g)
+    assert (result.value, result.witness.order) == GOLDEN_DP[key]
 
 
 # ------------------------------------------------------------ size guards
