@@ -28,7 +28,6 @@ from .cleaning import (
 )
 from .constructions import (
     BoundaryClassCounts,
-    CorrectRows,
     TorusReduction,
     classify_boundary_pairs,
     clique_config,
@@ -84,65 +83,3 @@ from .solver import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundaryClassCounts",
-    "BoxConjectureReport",
-    "BrushConfig",
-    "CleaningSequence",
-    "CleaningStep",
-    "CleaningTrace",
-    "CorrectRows",
-    "Graph",
-    "GraphCleanError",
-    "InfeasibleStepError",
-    "InternalInconsistencyError",
-    "InvalidInputError",
-    "InvalidParameterError",
-    "InvalidSequenceError",
-    "ParseError",
-    "PreconditionViolationError",
-    "ProductLabeling",
-    "ResourceLimitError",
-    "SolveResult",
-    "TooLargeError",
-    "TorusReduction",
-    "automorphisms",
-    "brush_number_bnb",
-    "brush_number_dp",
-    "brute_force_permutations",
-    "can_clean",
-    "cartesian_product",
-    "check_box_conjecture",
-    "classify_boundary_pairs",
-    "clique_config",
-    "clique_sequence",
-    "combine_torus_rows",
-    "cycle_config",
-    "cycle_sequence",
-    "delete_clique_layer",
-    "graph_from_edges",
-    "is_connected",
-    "km_pn_brush_number",
-    "km_pn_config",
-    "km_pn_config_odd",
-    "km_pn_sequence",
-    "make_clique",
-    "make_cycle",
-    "make_path",
-    "minimal_config_for_sequence",
-    "parity_lower_bound",
-    "parse_brush_config",
-    "parse_edge_list",
-    "parse_sequence",
-    "path_config",
-    "path_sequence",
-    "reduce_torus",
-    "serialize_brush_config",
-    "serialize_edge_list",
-    "serialize_sequence",
-    "simulate",
-    "torus_brush_number",
-    "torus_config",
-    "torus_sequence",
-]

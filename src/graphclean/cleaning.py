@@ -192,7 +192,6 @@ def can_clean(
     order: list[int] = []
     ready = [v for v in range(n) if brushes[v] >= dirty_deg[v]]
     heapq.heapify(ready)  # lowest id first, deterministic
-    queued = set(ready)
     while ready:
         v = heapq.heappop(ready)
         cleaned[v] = True
@@ -201,9 +200,9 @@ def can_clean(
             if not cleaned[u]:
                 brushes[u] += 1
                 dirty_deg[u] -= 1
-                if brushes[u] >= dirty_deg[u] and u not in queued:
+                # brushes - dirty rises by 2 a step: 0 or 1 just as u turns ready
+                if 0 <= brushes[u] - dirty_deg[u] <= 1:
                     heapq.heappush(ready, u)
-                    queued.add(u)
     if len(order) == n:
         return True, CleaningSequence(tuple(order))
     return False, frozenset(v for v in range(n) if not cleaned[v])

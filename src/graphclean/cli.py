@@ -316,25 +316,25 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 def _reduce_torus(
     lab: ProductLabeling, w0: BrushConfig, seq: CleaningSequence, row: int | None
 ) -> tuple[Graph, BrushConfig, CleaningSequence]:
-    # both paths check the output cleaning before returning it
-    print(f"kind=torus-rows m={lab.m} n={lab.n}")
-    print(f"total_before={w0.total}")
+    # both paths check the output cleaning before returning it, and
+    # nothing prints until one has returned
     if row is not None:
         g2, lab2, w2, s2 = cons.combine_torus_rows(lab, w0, seq, row)
-        print(f"row={row}")
-        print(f"reduced={cons.FAMILIES['torus'].label.format(lab2.m, lab2.n)}")
-        print(f"total_after={w2.total}")
-        print("savings=0")
-        return g2, w2, s2
-    red = cons.reduce_torus(lab, w0, seq)
-    print(f"axis={red.correct.axis}")
-    print(f"pair={red.correct.pair[0]},{red.correct.pair[1]}")
-    print(f"target={red.correct.target}")
-    print(f"removed_at={red.removed_at}")
-    print(f"reduced={cons.FAMILIES['torus'].label.format(red.labeling.m, red.labeling.n)}")
-    print(f"total_after={red.total_after}")
-    print(f"savings={red.total_before - red.total_after}")
-    return red.graph, red.config, red.sequence
+        found = f"row={row}"
+    else:
+        red = cons.reduce_torus(lab, w0, seq)
+        g2, lab2, w2, s2 = red.graph, red.labeling, red.config, red.sequence
+        found = (
+            f"axis={red.axis}\npair={red.pair[0]},{red.pair[1]}\n"
+            f"target={red.target}\nremoved_at={red.removed_at}"
+        )
+    print(f"kind=torus-rows m={lab.m} n={lab.n}")
+    print(f"total_before={w0.total}")
+    print(found)
+    print(f"reduced={cons.FAMILIES['torus'].label.format(lab2.m, lab2.n)}")
+    print(f"total_after={w2.total}")
+    print(f"savings={w0.total - w2.total}")
+    return g2, w2, s2
 
 
 def _reduce_clique_layer(

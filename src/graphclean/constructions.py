@@ -280,28 +280,23 @@ def _merge_lines(
     return new_g, new_lab, new_w0, new_seq, new_pos, vmap
 
 
-class CorrectRows(Record):
-    """Adjacent index pair whose merge frees two brushes.
-
-    axis is "rows" or "cols"; pair is ordered along the cycle, so it may
-    wrap (e.g. (m-1, 0)).  target is the vertex whose brush deficit
-    locates the savings: the first vertex in cleaning order holding
-    fewer than four brushes.
-    """
-
-    axis: str
-    pair: tuple[int, int]
-    target: int
-
-
 class TorusReduction(Record):
-    """A merged torus cleaning with two brushes removed."""
+    """A merged torus cleaning with two brushes removed.
+
+    axis ("rows" or "cols") and pair name the adjacent lines that were
+    merged; pair is ordered along the cycle, so it may wrap (e.g.
+    (m-1, 0)).  target is the vertex whose brush deficit locates the
+    savings: the first vertex in cleaning order holding fewer than four
+    brushes.
+    """
 
     graph: Graph
     labeling: ProductLabeling
     config: BrushConfig
     sequence: CleaningSequence
-    correct: CorrectRows
+    axis: str
+    pair: tuple[int, int]
+    target: int
     removed_at: int
     total_before: int
     total_after: int
@@ -420,7 +415,9 @@ def _attempt_reduction(
             labeling=merged_lab,
             config=trimmed,
             sequence=out_seq,
-            correct=CorrectRows(axis, pair, target),
+            axis=axis,
+            pair=pair,
+            target=target,
             removed_at=cand,
             total_before=w0.total,
             total_after=trimmed.total,

@@ -303,11 +303,10 @@ def brush_number_bnb(
     free = list(range(n))
     applied = 0
     # (cost, last vertex, odd-degree vertices left minus cut edges,
-    # depth, orbit key or None for the set itself, least cost plus
-    # parity bound over this entry and every entry below it)
+    # depth, orbit key or None for the set itself)
     odd = sum(odd_of)
     lower = (odd + 1) // 2
-    stack = [(0, 0, odd, 0, None, lower)]
+    stack = [(0, 0, odd, 0, None)]
     # a pop scans the free list, up to n vertices, and undoes or redoes
     # prefix entries at a cost of their degrees, once per entry pushed;
     # so the clock is read every 256 pops, or more often past 256 vertices
@@ -315,11 +314,14 @@ def brush_number_bnb(
     states = 0
     timed_out = False
     while stack:
-        cost, v, deficit, depth, key, least = stack.pop()
+        cost, v, deficit, depth, key = stack.pop()
         states += 1
         if deadline is not None and states % every == 0 and time.monotonic() > deadline:
             # every unexplored order extends the popped prefix or one on
-            # the stack, or was cut at a cost of at least cap
+            # the stack, or was cut at a cost of at least cap; each of
+            # those prefixes costs at least its cost plus parity bound
+            stack.append((cost, v, deficit, depth, key))
+            least = min(c + max(0, (d + 1) // 2) for c, _, d, _, _ in stack)
             lower = max(lower, min(cap, least))
             timed_out = True
             break
@@ -355,8 +357,8 @@ def brush_number_bnb(
             free.remove(w)
             for x in adj[w]:
                 marg[x] -= 2
-        # (cost, vertex, deficit, cost plus parity bound) of each child
-        # that can beat cap; the last vertex adds no cost, so it can
+        # (cost, vertex, deficit) of each child whose cost plus parity
+        # bound can beat cap; the last vertex adds no cost, so it can
         children = []
         for u in free:
             m = marg[u]
@@ -364,7 +366,7 @@ def brush_number_bnb(
             child_deficit = deficit - odd_of[u] - m
             bound = child_cost + (child_deficit + 1) // 2 if child_deficit > 0 else child_cost
             if bound < cap:
-                children.append((child_cost, u, child_deficit, bound))
+                children.append((child_cost, u, child_deficit))
         if not children:
             continue
         children.sort(reverse=True)
@@ -374,12 +376,10 @@ def brush_number_bnb(
             keys = (images_of[depth] | images[[c[1] for c in children]]).min(axis=1).tolist()
         else:
             keys = [mask | 1 << c[1] for c in children]
-        least = stack[-1][5] if stack else cap
-        for (c, u, d, b), k in zip(children, keys):
+        for (c, u, d), k in zip(children, keys):
             seen = memo.get(k)
             if seen is None or seen > c:
-                least = b if b < least else least
-                stack.append((c, u, d, depth + 1, k if orbits else None, least))
+                stack.append((c, u, d, depth + 1, k if orbits else None))
     complete = not timed_out and (upper_hint is None or best_cost <= upper_hint)
     if not complete and not timed_out:
         lower = max(lower, upper_hint + 1)
@@ -472,10 +472,6 @@ def check_box_conjecture(
     """
     if not 2 <= m <= 5:
         raise InvalidParameterError(f"left-factor order must be 2..5, got {m}")
-    if m * h.vertex_count > max_vertices:
-        raise TooLargeError(
-            f"products on {m * h.vertex_count} vertices exceed the DP cap of {max_vertices}"
-        )
     pairs = list(combinations(range(m), 2))
     bit = {pair: 1 << i for i, pair in enumerate(pairs)}
     # per vertex permutation, the bit that each pair's bit moves to

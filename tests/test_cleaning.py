@@ -303,6 +303,41 @@ def test_greedy_matches_exhaustive(g, data):
     assert ok == _cleanable_exhaustive(g, BrushConfig(counts))
 
 
+def _greedy_reference(g, w0):
+    """Fire the lowest-id unfired vertex holding at least its dirty edges,
+    rescanning every vertex each step; returns the order and the rest."""
+    brushes = list(w0.counts)
+    dirty = [g.degree(v) for v in g.vertices()]
+    left = set(g.vertices())
+    order = []
+    while True:
+        ready = [v for v in sorted(left) if brushes[v] >= dirty[v]]
+        if not ready:
+            return order, frozenset(left)
+        v = ready[0]
+        left.remove(v)
+        order.append(v)
+        for u in g.adjacency[v]:
+            if u in left:
+                brushes[u] += 1
+                dirty[u] -= 1
+
+
+@given(graphs(max_vertices=8), st.data())
+@settings(max_examples=300, deadline=None)
+def test_can_clean_fires_lowest_ready_vertex(g, data):
+    counts = tuple(
+        data.draw(st.integers(0, max(1, g.degree(v))), label=f"w0[{v}]")
+        for v in range(g.vertex_count)
+    )
+    order, stuck = _greedy_reference(g, BrushConfig(counts))
+    ok, found = can_clean(g, BrushConfig(counts))
+    if ok:
+        assert not stuck and found.order == tuple(order)
+    else:
+        assert stuck and found == stuck
+
+
 @given(graph_with_sequence(max_vertices=6))
 def test_minimal_config_is_cleanable(gs):
     g, seq = gs

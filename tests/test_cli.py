@@ -624,13 +624,61 @@ def test_reduce_explicit_row_keeps_total(tmp_path, capsys):
     assert pairs["total_after"] == pairs["total_before"] == "12"
 
 
-def test_reduce_rejects_short_axes(tmp_path, capsys):
-    g, _ = cartesian_product(make_cycle(3), make_cycle(3))
-    cfg, seq = write_optimal_cleaning(tmp_path, g, "t33")
-    code, _, err = run(
-        capsys, "reduce", "torus-rows", "3", "3", "--config", str(cfg), "--sequence", str(seq)
+TORUS_44_MERGE = """kind=torus-rows m=4 n=4
+total_before=12
+axis=cols
+pair=0,1
+target=1
+removed_at=0
+reduced=C4xC3
+total_after=10
+savings=2
+verified=true
+"""
+
+TORUS_44_ROW_1 = """kind=torus-rows m=4 n=4
+total_before=12
+row=1
+reduced=C3xC4
+total_after=12
+savings=0
+verified=true
+"""
+
+
+@pytest.mark.parametrize(
+    "extra, expected", [((), TORUS_44_MERGE), (("--row", "1"), TORUS_44_ROW_1)],
+    ids=["merge", "row-1"],
+)
+def test_reduce_torus_rows_prints_the_merge(tmp_path, capsys, extra, expected):
+    prefix = str(tmp_path / "t44")
+    run(capsys, "config", "torus", "4", "4", "--out-prefix", prefix)
+    code, out, err = run(
+        capsys, "reduce", "torus-rows", "4", "4", *extra,
+        "--config", prefix + ".config", "--sequence", prefix + ".sequence",
     )
-    assert code == 2 and "error:" in err
+    assert (code, out, err) == (0, expected, "")
+
+
+@pytest.mark.parametrize(
+    "size, argv",
+    [
+        ("3", ("3", "3")),  # no axis of length 4 or more
+        ("4", ("4", "4", "--row", "9")),  # row out of range
+        ("3", ("4", "4")),  # a 9-vertex config for a 16-vertex torus
+    ],
+    ids=["3x3", "row-9", "short-config"],
+)
+def test_reduce_rejects_short_axes(tmp_path, capsys, size, argv):
+    # an error prints nothing on stdout, as every other command does
+    prefix = str(tmp_path / "t")
+    run(capsys, "config", "torus", size, size, "--out-prefix", prefix)
+    code, out, err = run(
+        capsys, "reduce", "torus-rows", *argv,
+        "--config", prefix + ".config", "--sequence", prefix + ".sequence",
+    )
+    assert code == 2 and err.startswith("error:")
+    assert out == ""
 
 
 def test_reduce_clique_layer(tmp_path, capsys):

@@ -265,7 +265,7 @@ def test_reduce_fallbacks_and_wrapped_pairs(m, n, order, axis, pair, removed_at,
     w0 = minimal_config_for_sequence(g, seq)
     assert w0.total == torus_brush_number(m, n)
     red = reduce_torus(lab, w0, seq)
-    assert (red.correct.axis, red.correct.pair) == (axis, pair)
+    assert (red.axis, red.pair) == (axis, pair)
     assert red.removed_at == removed_at
     shorter = (m - 1, n) if axis == "rows" else (m, n - 1)
     assert (red.labeling.m, red.labeling.n) == shorter
@@ -278,11 +278,11 @@ def test_reduce_fallbacks_and_wrapped_pairs(m, n, order, axis, pair, removed_at,
 def test_reduce_torus_reports_adjacent_correct_rows():
     g, lab = torus(4, 4)
     w0, seq, _ = dp_cleaning(g)
-    correct = reduce_torus(lab, w0, seq).correct
-    a, b = correct.pair
-    size = lab.m if correct.axis == "rows" else lab.n
+    red = reduce_torus(lab, w0, seq)
+    a, b = red.pair
+    size = lab.m if red.axis == "rows" else lab.n
     assert b == (a + 1) % size
-    assert correct.axis in ("rows", "cols")
+    assert red.axis in ("rows", "cols")
 
 
 def test_reduce_requires_optimal_total():

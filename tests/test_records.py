@@ -13,7 +13,6 @@ from graphclean import (
     CleaningSequence,
     CleaningStep,
     CleaningTrace,
-    CorrectRows,
     Graph,
     InvalidInputError,
     InvalidSequenceError,
@@ -27,7 +26,6 @@ from graphclean.graphs import Record
 SEQ = CleaningSequence((1, 0))
 STEP = CleaningStep(1, 1, ((0, 1),), (0,))
 K2 = Graph(2, ((1,), (0,)))
-ROWS = CorrectRows("rows", (1, 0), 3)
 
 # (class, positional arguments, the same record by name with its
 # defaults left out, its repr as a frozen dataclass printed it)
@@ -55,19 +53,16 @@ RECORDS = [
         " formula=None)",
     ),
     (
-        CorrectRows, ("rows", (1, 0), 3), dict(axis="rows", pair=(1, 0), target=3),
-        "CorrectRows(axis='rows', pair=(1, 0), target=3)",
-    ),
-    (
-        TorusReduction, (K2, ProductLabeling(2, 3), BrushConfig((1, 0)), SEQ, ROWS, 0, 4, 2),
+        TorusReduction,
+        (K2, ProductLabeling(2, 3), BrushConfig((1, 0)), SEQ, "rows", (1, 0), 3, 0, 4, 2),
         dict(
             graph=K2, labeling=ProductLabeling(2, 3), config=BrushConfig((1, 0)), sequence=SEQ,
-            correct=ROWS, removed_at=0, total_before=4, total_after=2,
+            axis="rows", pair=(1, 0), target=3, removed_at=0, total_before=4, total_after=2,
         ),
         "TorusReduction(graph=Graph(vertex_count=2, adjacency=((1,), (0,))),"
         " labeling=ProductLabeling(m=2, n=3), config=BrushConfig(counts=(1, 0)),"
-        " sequence=CleaningSequence(order=(1, 0)), correct=CorrectRows(axis='rows',"
-        " pair=(1, 0), target=3), removed_at=0, total_before=4, total_after=2)",
+        " sequence=CleaningSequence(order=(1, 0)), axis='rows', pair=(1, 0), target=3,"
+        " removed_at=0, total_before=4, total_after=2)",
     ),
     (
         BoundaryClassCounts, (1, 2, 3, 4, 5, 6, 7, 8, ()), dict(zip("abcdefgh", range(1, 9))),
