@@ -28,6 +28,7 @@ from .cleaning import (
 )
 from .constructions import (
     BoundaryClassCounts,
+    CliqueLayerReduction,
     TorusReduction,
     classify_boundary_pairs,
     clique_config,

@@ -22,7 +22,6 @@ from .cleaning import (
     CleaningSequence,
     can_clean,
     check_cleaning,
-    cleaning_order,
     fire,
     minimal_config_for_sequence,
     parse_brush_config,
@@ -341,30 +340,16 @@ def _reduce_clique_layer(
     lab: ProductLabeling, w0: BrushConfig, seq: CleaningSequence
 ) -> tuple[Graph, BrushConfig, CleaningSequence | None]:
     # the sequence is None when no order cleans the output
-    g2, lab2, w2 = cons.delete_clique_layer(lab, w0, seq)
-    # delete_clique_layer has checked the input: classify it without a second check
-    counts = cons._boundary_counts(lab, w0, seq)
+    red = cons.delete_clique_layer(lab, w0, seq)
     print(f"kind=clique-layer m={lab.m} n={lab.n}")
-    print(
-        "classes="
-        + " ".join(f"{k}:{getattr(counts, k)}" for k in "abcdefgh")
-    )
-    for note in counts.diagnostics:
+    print("classes=" + " ".join(f"{k}:{getattr(red.classes, k)}" for k in "abcdefgh"))
+    for note in red.classes.diagnostics:
         print(f"diagnostic={note}")
-    print(f"reduced={cons.FAMILIES['km-pn'].label.format(lab2.m, lab2.n)}")
+    print(f"reduced={cons.FAMILIES['km-pn'].label.format(red.labeling.m, red.labeling.n)}")
     print(f"total_before={w0.total}")
-    print(f"total_after={w2.total}")
-    print(f"savings={w0.total - w2.total}")
-    # prefer the input order restricted to the surviving copies
-    restricted = CleaningSequence(
-        tuple(
-            lab2.id(x, j - 1)
-            for v in seq
-            for x, j in (lab.pair(v),)
-            if j >= 1
-        )
-    )
-    return g2, w2, cleaning_order(g2, w2, restricted)
+    print(f"total_after={red.config.total}")
+    print(f"savings={w0.total - red.config.total}")
+    return red.graph, red.config, red.sequence
 
 
 # --------------------------------------------------------------- report

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .cleaning import BrushConfig, CleaningSequence, _positions, check_cleaning, cleaning_order
+from .cleaning import BrushConfig, CleaningSequence, check_cleaning, cleaning_order
 from .errors import (
     InfeasibleStepError,
     InternalInconsistencyError,
@@ -20,7 +20,7 @@ from .errors import (
     PreconditionViolationError,
 )
 from .graphs import (
-    Graph, ProductLabeling, Record, cartesian_product, make_clique, make_cycle, make_path
+    Graph, ProductLabeling, Record, _check_order, cartesian_product, make_clique, make_cycle, make_path
 )
 
 
@@ -28,34 +28,34 @@ from .graphs import (
 
 def path_config(k: int) -> BrushConfig:
     """One brush at the left endpoint; total 1."""
-    if k < 1:
-        raise InvalidParameterError(f"path needs at least 1 vertex, got {k}")
+    _check_order("path", k, 1)
     return BrushConfig((1,) + (0,) * (k - 1))
 
 
 def path_sequence(k: int) -> CleaningSequence:
+    _check_order("path", k, 1)
     return CleaningSequence(tuple(range(k)))
 
 
 def cycle_config(k: int) -> BrushConfig:
     """Two brushes at vertex 0; total 2."""
-    if k < 3:
-        raise InvalidParameterError(f"cycle needs at least 3 vertices, got {k}")
+    _check_order("cycle", k, 3)
     return BrushConfig((2,) + (0,) * (k - 1))
 
 
 def cycle_sequence(k: int) -> CleaningSequence:
+    _check_order("cycle", k, 3)
     return CleaningSequence(tuple(range(k)))
 
 
 def clique_config(m: int) -> BrushConfig:
     """Vertex i holds max(0, m - 1 - 2i); total floor(m^2/4)."""
-    if m < 1:
-        raise InvalidParameterError(f"clique needs at least 1 vertex, got {m}")
+    _check_order("clique", m, 1)
     return BrushConfig(tuple(max(0, m - 1 - 2 * i) for i in range(m)))
 
 
 def clique_sequence(m: int) -> CleaningSequence:
+    _check_order("clique", m, 1)
     return CleaningSequence(tuple(range(m)))
 
 
@@ -298,8 +298,6 @@ class TorusReduction(Record):
     pair: tuple[int, int]
     target: int
     removed_at: int
-    total_before: int
-    total_after: int
 
 
 def reduce_torus(
@@ -419,8 +417,6 @@ def _attempt_reduction(
             pair=pair,
             target=target,
             removed_at=cand,
-            total_before=w0.total,
-            total_after=trimmed.total,
         )
     return None
 
@@ -480,17 +476,15 @@ def classify_boundary_pairs(
     brushes on the first half of that copy's cleaning order; violations
     are reported in diagnostics rather than rejected.
     """
-    _simulate_or_invalid(FAMILIES["km-pn"].build(labeling.m, labeling.n), w0, seq)
-    return _boundary_counts(labeling, w0, seq)
+    pos = _simulate_or_invalid(FAMILIES["km-pn"].build(labeling.m, labeling.n), w0, seq)
+    return _boundary_counts(labeling, w0, pos, _boundary_classes(labeling, w0, pos))
 
 
 def _boundary_counts(
-    labeling: ProductLabeling, w0: BrushConfig, seq: CleaningSequence
+    labeling: ProductLabeling, w0: BrushConfig, pos: list[int], classes: list[str]
 ) -> BoundaryClassCounts:
-    # classify_boundary_pairs on an input already checked
+    # classify_boundary_pairs from the checked positions and per-pair classes
     m = labeling.m
-    pos = _positions(m * labeling.n, seq)
-    classes = _boundary_classes(labeling, w0, pos)
     diagnostics: list[str] = []
     if m % 2 == 0:
         first_copy = sorted((labeling.id(x, 0) for x in range(m)), key=pos.__getitem__)
@@ -503,26 +497,37 @@ def _boundary_counts(
     return BoundaryClassCounts(*map(classes.count, "abcdefgh"), diagnostics=tuple(diagnostics))
 
 
+class CliqueLayerReduction(Record):
+    """K_m x P_{n-1} from deleting clique copy 0, with the boundary pair
+    classes that set its copy-1 brushes.  sequence is the input order
+    on the surviving copies if it cleans the output, else can_clean's
+    greedy order, or None when no order cleans it."""
+
+    graph: Graph
+    labeling: ProductLabeling
+    config: BrushConfig
+    sequence: CleaningSequence | None
+    classes: BoundaryClassCounts
+
+
 def delete_clique_layer(
-    labeling: ProductLabeling,
-    w0: BrushConfig,
-    seq: CleaningSequence,
-) -> tuple[Graph, ProductLabeling, BrushConfig]:
+    labeling: ProductLabeling, w0: BrushConfig, seq: CleaningSequence
+) -> CliqueLayerReduction:
     """Remove clique copy 0 and compensate copy 1 per its pair classes.
 
     Pairs whose first-copy vertex cleans first and whose classes mark
     both ends (a) or the far end only (e) gain one brush; pairs cleaned
     from the second copy against positive far brushes (c, g) give one
     up.  For n = 2 the output is a bare clique, and for even m it gains
-    the one extra brush the half-way vertex may need.  For even m the
-    output cleans K_m x P_{n-1} whenever the input cleaning is optimal.
-    For odd m and n >= 3 it does not: on the closed-form cleaning it
-    comes out one brush short of b(K_m x P_{n-1}) (K_5 x P_4 gives 18,
-    and b(K_5 x P_3) = 19).  Verify the output with can_clean.
+    the one extra brush the half-way vertex may need.  The input is
+    checked once; its positions give the classes and the output order.
+    For even m the output cleans K_m x P_{n-1} whenever the input
+    cleaning is optimal.  For odd m and n >= 3 it does not: on the
+    closed-form cleaning it is one brush short of b(K_m x P_{n-1})
+    (K_5 x P_4 gives 18, and b(K_5 x P_3) = 19), and sequence is None.
     """
     m, n = labeling.m, labeling.n
-    _simulate_or_invalid(FAMILIES["km-pn"].build(m, n), w0, seq)
-    pos = _positions(m * n, seq)
+    pos = _simulate_or_invalid(FAMILIES["km-pn"].build(m, n), w0, seq)
     classes = _boundary_classes(labeling, w0, pos)
 
     new_lab = ProductLabeling(m, n - 1)
@@ -542,4 +547,10 @@ def delete_clique_layer(
             counts[new_lab.id(x, 0)] += 1
 
     new_g, _ = cartesian_product(make_clique(m), make_path(n - 1))  # n - 1 may be 1
-    return new_g, new_lab, BrushConfig(tuple(counts))
+    new_w0 = BrushConfig(tuple(counts))
+    # the input order on copies 1..n-1: (x, j) -> (x, j - 1) is v -> v - x - 1
+    kept = CleaningSequence(tuple(v - v // n - 1 for v in seq if v % n))
+    return CliqueLayerReduction(
+        new_g, new_lab, new_w0, cleaning_order(new_g, new_w0, kept),
+        _boundary_counts(labeling, w0, pos, classes),
+    )

@@ -153,24 +153,29 @@ def _arc_adjacency(vertex_count: int, ends: np.ndarray) -> tuple[tuple[int, ...]
     return tuple(tuple(heads[a:b]) for a, b in pairwise(bounds))
 
 
+def _check_order(family: str, k: int, low: int) -> None:
+    """Refuse a family member on fewer than low vertices."""
+    if k < low:
+        raise InvalidParameterError(
+            f"{family} needs at least {low} {'vertex' if low == 1 else 'vertices'}, got {k}"
+        )
+
+
 def make_path(k: int) -> Graph:
     """Path on k >= 1 vertices, edges i-(i+1)."""
-    if k < 1:
-        raise InvalidParameterError(f"path needs at least 1 vertex, got {k}")
+    _check_order("path", k, 1)
     return Graph(k, tuple(tuple(u for u in (v - 1, v + 1) if 0 <= u < k) for v in range(k)))
 
 
 def make_cycle(k: int) -> Graph:
     """Cycle on k >= 3 vertices."""
-    if k < 3:
-        raise InvalidParameterError(f"cycle needs at least 3 vertices, got {k}")
+    _check_order("cycle", k, 3)
     return Graph(k, tuple(tuple(sorted([(v - 1) % k, (v + 1) % k])) for v in range(k)))
 
 
 def make_clique(k: int) -> Graph:
     """Complete graph on k >= 1 vertices."""
-    if k < 1:
-        raise InvalidParameterError(f"clique needs at least 1 vertex, got {k}")
+    _check_order("clique", k, 1)
     return Graph(k, tuple(tuple(u for u in range(k) if u != v) for v in range(k)))
 
 

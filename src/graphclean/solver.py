@@ -442,8 +442,6 @@ class BoxConjectureReport(Record):
     violation list range over the connected graphs; `graphs_checked`
     still counts the whole enumeration."""
 
-    m: int
-    h_vertex_count: int
     path_value: int
     clique_value: int
     min_value: int
@@ -508,8 +506,6 @@ def check_box_conjecture(
     low = min(connected, key=values.__getitem__)
     high = max(connected, key=values.__getitem__)
     return BoxConjectureReport(
-        m=m,
-        h_vertex_count=h.vertex_count,
         path_value=path_value,
         clique_value=clique_value,
         min_value=values[low],

@@ -113,10 +113,10 @@ def test_criterion_5_torus_reduction_savings():
         g, lab = _torus(m, n)
         w0, seq, value = _optimal_cleaning(g)
         red = reduce_torus(lab, w0, seq)
-        assert red.total_after == value - 2, (m, n)
+        assert red.config.total == value - 2, (m, n)
         trace = simulate(red.graph, red.config, red.sequence)
-        assert trace.total_brushes == red.total_after
-        assert red.total_after == brush_number_dp(red.graph).value, (m, n)
+        assert trace.total_brushes == red.config.total
+        assert red.config.total == brush_number_dp(red.graph).value, (m, n)
     _report("5 (two-brush reduction)", True)
 
 
@@ -124,12 +124,12 @@ def test_criterion_6_layer_deletion():
     g, lab = _clique_path(4, 3)
     w0, seq, value = _optimal_cleaning(g)
     assert value == 12
-    g2, lab2, w2 = delete_clique_layer(lab, w0, seq)
-    assert (lab2.m, lab2.n) == (4, 2)
-    assert w2.total <= 12 - 4
-    ok, _ = can_clean(g2, w2)
+    red = delete_clique_layer(lab, w0, seq)
+    assert (red.labeling.m, red.labeling.n) == (4, 2)
+    assert red.config.total <= 12 - 4
+    ok, _ = can_clean(red.graph, red.config)
     assert ok
-    assert brush_number_dp(g2).value == 8
+    assert brush_number_dp(red.graph).value == 8
     _report("6 (clique-layer deletion)", True)
 
 

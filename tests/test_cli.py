@@ -713,12 +713,59 @@ def test_reduce_clique_layer(tmp_path, capsys):
     assert code == 0
 
 
+KP_43_DELETION = """kind=clique-layer m=4 n=3
+classes=a:2 b:0 c:0 d:0 e:0 f:2 g:0 h:0
+reduced=K4xP2
+total_before=12
+total_after=8
+savings=4
+verified=true
+wrote={out}.graph
+wrote={out}.config
+wrote={out}.sequence
+"""
+
+KP_54_DELETION = """kind=clique-layer m=5 n=4
+classes=a:2 b:1 c:0 d:0 e:0 f:2 g:0 h:0
+reduced=K5xP3
+total_before=25
+total_after=18
+savings=7
+verified=false
+"""
+
+
+@pytest.mark.parametrize(
+    "m, n, write, code, expected",
+    [("4", "3", True, 0, KP_43_DELETION), ("5", "4", False, 5, KP_54_DELETION)],
+    ids=["kp43", "kp54"],
+)
+def test_reduce_clique_layer_prints_the_deletion(tmp_path, capsys, m, n, write, code, expected):
+    # the odd-order deletion is one brush short of b(K5 x P3) = 19, so no order cleans it
+    prefix, out_prefix = str(tmp_path / "in"), str(tmp_path / "out")
+    run(capsys, "config", "km-pn", m, n, "--out-prefix", prefix)
+    extra = ("--out-prefix", out_prefix) if write else ()
+    got = run(
+        capsys, "reduce", "clique-layer", m, n,
+        "--config", prefix + ".config", "--sequence", prefix + ".sequence", *extra,
+    )
+    assert got == (code, expected.format(out=out_prefix), "")
+    if write:
+        assert Path(out_prefix + ".config").read_text() == "b 8\n0 4\n1 2\n2 2\n"
+        assert Path(out_prefix + ".sequence").read_text() == "s 8\n0 2 4 6 1 3 5 7\n"
+
+
 def test_reduce_clique_layer_checks_its_input_once(tmp_path, capsys, monkeypatch):
     prefix = str(tmp_path / "kp43")
     run(capsys, "config", "km-pn", "4", "3", "--out-prefix", prefix)
     calls = []
     check = cli.cons._simulate_or_invalid
-    monkeypatch.setattr(cli.cons, "_simulate_or_invalid", lambda *a: calls.append(check(*a)))
+
+    def check_and_count(*args):
+        calls.append(args)
+        return check(*args)  # the positions the deletion reads
+
+    monkeypatch.setattr(cli.cons, "_simulate_or_invalid", check_and_count)
     code, _, _ = run(
         capsys, "reduce", "clique-layer", "4", "3",
         "--config", prefix + ".config", "--sequence", prefix + ".sequence",

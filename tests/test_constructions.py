@@ -1,6 +1,7 @@
 """Closed-form configurations for the structured families, the row-merge
 reduction on torus cleanings, and the clique-layer deletion."""
 
+import random
 from itertools import permutations
 
 import pytest
@@ -23,6 +24,7 @@ from graphclean import (
     cycle_config,
     cycle_sequence,
     delete_clique_layer,
+    graph_from_edges,
     km_pn_brush_number,
     km_pn_config,
     km_pn_config_odd,
@@ -39,6 +41,7 @@ from graphclean import (
     torus_config,
     torus_sequence,
 )
+from graphclean.cleaning import check_cleaning
 
 
 def torus(m, n):
@@ -73,6 +76,23 @@ def test_line_families_clean(p, c, k):
     simulate(make_cycle(c), cycle_config(c), cycle_sequence(c))
     simulate(make_clique(k), clique_config(k), clique_sequence(k))
     assert clique_config(k).total == k * k // 4
+
+
+@pytest.mark.parametrize(
+    "config, sequence, k",
+    [
+        (path_config, path_sequence, 0),
+        (clique_config, clique_sequence, 0),
+        (cycle_config, cycle_sequence, 2),
+    ],
+    ids=["path-0", "clique-0", "cycle-2"],
+)
+def test_line_sequences_refuse_what_their_configs_refuse(config, sequence, k):
+    with pytest.raises(InvalidParameterError) as refused:
+        config(k)
+    with pytest.raises(InvalidParameterError) as refused_too:
+        sequence(k)
+    assert str(refused_too.value) == str(refused.value)
 
 
 def test_torus_formula():
@@ -234,12 +254,12 @@ def test_reduce_reaches_smaller_optimum(m, n, reduced_value):
     g, lab = torus(m, n)
     w0, seq, value = dp_cleaning(g)
     red = reduce_torus(lab, w0, seq)
-    assert red.total_before == value
-    assert red.total_after == value - 2 == reduced_value
+    assert w0.total == value
+    assert red.config.total == value - 2 == reduced_value
     trace = simulate(red.graph, red.config, red.sequence)
     assert trace.total_brushes == reduced_value
     exact = brush_number_dp(red.graph).value
-    assert red.total_after == exact
+    assert red.config.total == exact
 
 
 @pytest.mark.parametrize(
@@ -270,7 +290,7 @@ def test_reduce_fallbacks_and_wrapped_pairs(m, n, order, axis, pair, removed_at,
     shorter = (m - 1, n) if axis == "rows" else (m, n - 1)
     assert (red.labeling.m, red.labeling.n) == shorter
     assert red.config.counts == counts
-    assert simulate(red.graph, red.config, red.sequence).total_brushes == red.total_after
+    assert simulate(red.graph, red.config, red.sequence).total_brushes == red.config.total
     if greedy:  # lowest-id greedy order, in the output labelling
         assert red.sequence == can_clean(red.graph, red.config)[1]
 
@@ -342,10 +362,10 @@ def test_clique_layer_steps_each_refuse_a_failed_cleaning(reduction):
 
 def test_delete_layer_canonical():
     lab = ProductLabeling(4, 3)
-    g2, lab2, w2 = delete_clique_layer(lab, km_pn_config(4, 3), km_pn_sequence(4, 3))
-    assert (lab2.m, lab2.n) == (4, 2)
-    assert w2.total == 8
-    ok, _ = can_clean(g2, w2)
+    red = delete_clique_layer(lab, km_pn_config(4, 3), km_pn_sequence(4, 3))
+    assert (red.labeling.m, red.labeling.n) == (4, 2)
+    assert red.config.total == 8
+    ok, _ = can_clean(red.graph, red.config)
     assert ok
 
 
@@ -353,29 +373,29 @@ def test_delete_layer_optimal_input():
     g, lab = clique_path(4, 3)
     w0, seq, value = dp_cleaning(g)
     assert value == 12
-    g2, _, w2 = delete_clique_layer(lab, w0, seq)
-    assert w2.total <= value - 4  # one layer costs at least a quarter-square
-    ok, _ = can_clean(g2, w2)
+    red = delete_clique_layer(lab, w0, seq)
+    assert red.config.total <= value - 4  # one layer costs at least a quarter-square
+    ok, _ = can_clean(red.graph, red.config)
     assert ok
-    assert brush_number_dp(g2).value == 8
+    assert brush_number_dp(red.graph).value == 8
 
 
 def test_delete_layer_base_mode():
     g, lab = clique_path(2, 3)
     w0, seq, value = dp_cleaning(g)
     assert value == 3
-    g2, lab2, w2 = delete_clique_layer(lab, w0, seq)
-    assert (lab2.m, lab2.n) == (2, 2)
-    assert w2.total <= 2
-    ok, _ = can_clean(g2, w2)
+    red = delete_clique_layer(lab, w0, seq)
+    assert (red.labeling.m, red.labeling.n) == (2, 2)
+    assert red.config.total <= 2
+    ok, _ = can_clean(red.graph, red.config)
     assert ok
 
 
 def _assert_layer_deletion_cleans_clique(lab, w0, seq):
-    g2, lab2, w2 = delete_clique_layer(lab, w0, seq)
-    assert (lab2.m, lab2.n) == (lab.m, 1)
-    assert w2.total == lab.m * lab.m // 4  # b(K_m)
-    assert can_clean(g2, w2)[0]
+    red = delete_clique_layer(lab, w0, seq)
+    assert (red.labeling.m, red.labeling.n) == (lab.m, 1)
+    assert red.config.total == lab.m * lab.m // 4  # b(K_m)
+    assert can_clean(red.graph, red.config)[0]
 
 
 @pytest.mark.parametrize("m", [2, 4, 6])
@@ -403,6 +423,55 @@ def test_delete_layer_n2_every_optimal_k4_order():
         fires += w0[second_copy[1]] == 0  # the half-way vertex holds no brush
         _assert_layer_deletion_cleans_clique(lab, w0, seq)
     assert (optimal, fires) == (12384, 7632)
+
+
+EVEN_KM_PN = [(m, n) for m in range(2, 11, 2) for n in range(2, 11) if m * n <= 20]
+
+
+def _relabelled_dp_cleaning(g, rng):
+    # a DP witness breaks ties toward low ids, so solving a relabelled
+    # copy and mapping its witness back gives another optimal cleaning
+    perm = list(range(g.vertex_count))
+    rng.shuffle(perm)
+    copy = graph_from_edges(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges()])
+    res = brush_number_dp(copy)
+    back = {p: v for v, p in enumerate(perm)}
+    seq = CleaningSequence(tuple(back[p] for p in res.witness))
+    return minimal_config_for_sequence(g, seq), seq, res.value
+
+
+@pytest.mark.parametrize("m, n", EVEN_KM_PN, ids=[f"K{m}xP{n}" for m, n in EVEN_KM_PN])
+def test_delete_layer_even_order_returns_a_checked_cleaning(m, n):
+    g, lab = clique_path(m, n)
+    rng = random.Random(f"K{m}xP{n}")
+    cleanings = []
+    for _ in range(3):  # the closed form, moved by a clique relabelling
+        perm = list(range(m))
+        rng.shuffle(perm)
+        sigma = [perm[i] * n + j for i in range(m) for j in range(n)]
+        counts = [0] * (m * n)
+        for v, c in enumerate(km_pn_config(m, n).counts):
+            counts[sigma[v]] = c
+        order = tuple(sigma[v] for v in km_pn_sequence(m, n))
+        cleanings.append((BrushConfig(tuple(counts)), CleaningSequence(order)))
+    for _ in range(3):
+        w0, seq, value = _relabelled_dp_cleaning(g, rng)
+        assert value == km_pn_brush_number(m, n)
+        cleanings.append((w0, seq))
+    for w0, seq in cleanings:
+        red = delete_clique_layer(lab, w0, seq)
+        assert red.sequence is not None
+        check_cleaning(red.graph, red.config, red.sequence)
+        assert red.config.total == (n - 1) * m * m // 4  # b(K_m x P_{n-1}), b(K_m) for n = 2
+        assert red.classes == classify_boundary_pairs(lab, w0, seq)
+
+
+@pytest.mark.parametrize("m, n", [(3, 4), (5, 4)])
+def test_delete_layer_odd_closed_form_finds_no_order(m, n):
+    # one brush short of b(K_m x P_{n-1}): no order cleans the output
+    red = delete_clique_layer(ProductLabeling(m, n), km_pn_config_odd(m, n), km_pn_sequence(m, n))
+    assert red.config.total == km_pn_brush_number(m, n - 1) - 1
+    assert red.sequence is None
 
 
 def test_odd_config_matches_dp_value():

@@ -94,6 +94,6 @@ def test_odd_column_layout_cleans_without_a_fallback():
 @pytest.mark.xfail(strict=True, reason="clique-layer deletion is one brush short for odd m, n >= 3")
 def test_delete_clique_layer_odd_order():
     lab = ProductLabeling(5, 4)
-    g2, _, w2 = delete_clique_layer(lab, km_pn_config_odd(5, 4), km_pn_sequence(5, 4))
-    assert w2.total == km_pn_brush_number(5, 3)
-    assert can_clean(g2, w2)[0]
+    red = delete_clique_layer(lab, km_pn_config_odd(5, 4), km_pn_sequence(5, 4))
+    assert red.config.total == km_pn_brush_number(5, 3)
+    assert can_clean(red.graph, red.config)[0]

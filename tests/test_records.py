@@ -13,6 +13,7 @@ from graphclean import (
     CleaningSequence,
     CleaningStep,
     CleaningTrace,
+    CliqueLayerReduction,
     Graph,
     InvalidInputError,
     InvalidSequenceError,
@@ -26,6 +27,7 @@ from graphclean.graphs import Record
 SEQ = CleaningSequence((1, 0))
 STEP = CleaningStep(1, 1, ((0, 1),), (0,))
 K2 = Graph(2, ((1,), (0,)))
+CLASSES = BoundaryClassCounts(1, 0, 0, 0, 0, 1, 0, 0)
 
 # (class, positional arguments, the same record by name with its
 # defaults left out, its repr as a frozen dataclass printed it)
@@ -54,15 +56,25 @@ RECORDS = [
     ),
     (
         TorusReduction,
-        (K2, ProductLabeling(2, 3), BrushConfig((1, 0)), SEQ, "rows", (1, 0), 3, 0, 4, 2),
+        (K2, ProductLabeling(2, 3), BrushConfig((1, 0)), SEQ, "rows", (1, 0), 3, 0),
         dict(
             graph=K2, labeling=ProductLabeling(2, 3), config=BrushConfig((1, 0)), sequence=SEQ,
-            axis="rows", pair=(1, 0), target=3, removed_at=0, total_before=4, total_after=2,
+            axis="rows", pair=(1, 0), target=3, removed_at=0,
         ),
         "TorusReduction(graph=Graph(vertex_count=2, adjacency=((1,), (0,))),"
         " labeling=ProductLabeling(m=2, n=3), config=BrushConfig(counts=(1, 0)),"
         " sequence=CleaningSequence(order=(1, 0)), axis='rows', pair=(1, 0), target=3,"
-        " removed_at=0, total_before=4, total_after=2)",
+        " removed_at=0)",
+    ),
+    (
+        CliqueLayerReduction, (K2, ProductLabeling(2, 1), BrushConfig((1, 0)), None, CLASSES),
+        dict(
+            graph=K2, labeling=ProductLabeling(2, 1), config=BrushConfig((1, 0)), sequence=None,
+            classes=CLASSES,
+        ),
+        "CliqueLayerReduction(graph=Graph(vertex_count=2, adjacency=((1,), (0,))),"
+        " labeling=ProductLabeling(m=2, n=1), config=BrushConfig(counts=(1, 0)), sequence=None,"
+        " classes=BoundaryClassCounts(a=1, b=0, c=0, d=0, e=0, f=1, g=0, h=0, diagnostics=()))",
     ),
     (
         BoundaryClassCounts, (1, 2, 3, 4, 5, 6, 7, 8, ()), dict(zip("abcdefgh", range(1, 9))),
@@ -75,14 +87,13 @@ RECORDS = [
         " seconds=0.5, complete=True, lower_bound=None)",
     ),
     (
-        BoxConjectureReport, (3, 2, 4, 5, 4, 5, ((0, 1),), ((0, 1), (1, 2)), 8, 4, ()),
+        BoxConjectureReport, (4, 5, 4, 5, ((0, 1),), ((0, 1), (1, 2)), 8, 4, ()),
         dict(
-            m=3, h_vertex_count=2, path_value=4, clique_value=5, min_value=4, max_value=5,
-            min_edges=((0, 1),), max_edges=((0, 1), (1, 2)), graphs_checked=8,
-            connected_checked=4, violations=(),
+            path_value=4, clique_value=5, min_value=4, max_value=5, min_edges=((0, 1),),
+            max_edges=((0, 1), (1, 2)), graphs_checked=8, connected_checked=4, violations=(),
         ),
-        "BoxConjectureReport(m=3, h_vertex_count=2, path_value=4, clique_value=5, min_value=4,"
-        " max_value=5, min_edges=((0, 1),), max_edges=((0, 1), (1, 2)), graphs_checked=8,"
+        "BoxConjectureReport(path_value=4, clique_value=5, min_value=4, max_value=5,"
+        " min_edges=((0, 1),), max_edges=((0, 1), (1, 2)), graphs_checked=8,"
         " connected_checked=4, violations=())",
     ),
 ]

@@ -645,8 +645,6 @@ def labeled_box_sweep(h, m, solve):
     low = min(rows, key=lambda row: row[1])
     high = max(rows, key=lambda row: row[1])
     return BoxConjectureReport(
-        m=m,
-        h_vertex_count=h.vertex_count,
         path_value=path,
         clique_value=clique,
         min_value=low[1],
