@@ -35,6 +35,7 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
     ParseError,
+    ResourceLimitError,
 )
 from .graphs import Graph, ProductLabeling, cartesian_product, parse_edge_list, serialize_edge_list
 from .solver import (
@@ -569,6 +570,9 @@ def main(argv: list[str] | None = None) -> int:
     except GraphCleanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError:  # an instance too large for this machine, not a crash
+        print("error: out of memory", file=sys.stderr)
+        return ResourceLimitError.exit_code
     except Exception as exc:  # a crash is not "infeasible" (Python's default exit 1)
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED

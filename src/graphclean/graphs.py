@@ -14,10 +14,13 @@ from bisect import bisect
 from itertools import accumulate, pairwise, repeat
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .errors import InvalidParameterError, ParseError
+from .errors import InvalidParameterError, ParseError, TooLargeError
 
 if TYPE_CHECKING:
     import numpy as np
+
+# larger header counts are refused unallocated; "p 1000000" alone peaks at 44 MB in solve
+MAX_HEADER_VERTICES = 10**6
 
 
 class Record:
@@ -355,6 +358,8 @@ def _read_header(text: str, tag: str) -> tuple[list[str], int, int]:
         raise ParseError(no, f"vertex count {parts[1]!r} is not an integer") from None
     if vertex_count < 0:
         raise ParseError(no, f"vertex count must be non-negative, got {vertex_count}")
+    if vertex_count > MAX_HEADER_VERTICES:
+        raise TooLargeError(f"line {no}: {vertex_count} vertices exceed the limit of {MAX_HEADER_VERTICES}")
     return lines, vertex_count, no
 
 

@@ -58,12 +58,12 @@ ORBIT_MIN_GROUP = 8
 # and 3.2 s with all; K7xP4 (|A| = 10080) 9.7 s with 2048, 6.4 s with all.
 ORBIT_MAX_GROUP = 2048
 # Peak bytes per subset state in brush_number_dp, traced at 16 vertices
-# where nothing is pruned (12.8 on the edgeless graph and K16): the int16
-# tables f and h (4) span every subset, the rest is the reached
+# where nothing is pruned (10.8 on the edgeless graph and K16): the int8
+# tables f and h (2) span every subset, the rest is the reached
 # layers and one chunk of DP_CHUNK_ROWS sets (1024 to 4096 time alike,
-# 512 is about 10% slower; 2048 peaks at 19.5 and 512 at 11.1).  That
-# share shrinks as n grows (9.5 at 20, 9.2 at 22).
-DP_BYTES_PER_STATE = 13
+# 512 is about 10% slower; 2048 peaks at 17.4 and 512 at 8.9).  That
+# share shrinks as n grows (7.3 at 20, 7.1 at 22).
+DP_BYTES_PER_STATE = 11
 DP_CHUNK_ROWS = 1024
 
 _INF = 1 << 28
@@ -130,7 +130,7 @@ def brush_number_dp(
     A set S is kept, and pushed to each S | u, only if f(S) + LB(S) <=
     cap, the greedy order's cost; LB(S) = max(0, ceil(deficit(S) / 2)),
     deficit(S) the odd-degree vertices outside S minus cut(S).  Others
-    hold _UNREACHED.  The deficit is always even: deficit(empty) counts
+    stay unreached.  The deficit is always even: deficit(empty) counts
     the odd-degree vertices, and adding u lowers it by odd(u) + deg(u)
     - 2|N(u) & S|.  So the table holds h(S) = deficit(S) / 2, LB(S) =
     max(0, h(S)), and h(S | u) = h(S) + |N(u) & S| - ceil(deg(u) / 2):
@@ -146,12 +146,16 @@ def brush_number_dp(
     one row per vertex and one column per set, so that every ufunc runs
     along the chunk rather than over the n vertices.
 
-    Memory grows as 2^|V| (about DP_BYTES_PER_STATE bytes per subset);
-    instances above max_vertices or memory_limit_mb are refused.
+    Memory grows as 2^|V|, about DP_BYTES_PER_STATE bytes per subset, of
+    which f and h take one each (f widens to int16 only when cap >= 127,
+    as 127 marks unreached).  Any order's steps on S sum to at least
+    cut(S), so f(S) >= cut(S): a split with an unreached complement exceeds cap.
+    Instances above max_vertices, 31 vertices or memory_limit_mb are refused.
     """
     n = g.vertex_count
-    if n > max_vertices:
-        raise TooLargeError(f"{n} vertices exceed the DP cap of {max_vertices}")
+    limit = min(max_vertices, 31)  # the int32 set masks hold at most 31 vertices
+    if n > limit:
+        raise TooLargeError(f"{n} vertices exceed the DP cap of {limit}")
     est_mb = ((1 << n) * DP_BYTES_PER_STATE) // (1024 * 1024)
     if est_mb > memory_limit_mb:
         raise ResourceLimitError(
@@ -169,10 +173,11 @@ def brush_number_dp(
     half = n // 2
     cap = _greedy_order(g)[1]
     oddmask = sum(1 << v for v in range(n) if degs[v] % 2)
-    # f(S) <= cap < _UNREACHED and 2*|N(v) & S| < 2^8 fit the int16
-    # tables and uint8 counts; h(S) is written once S is reached
-    f = np.full(size, _UNREACHED, dtype=np.int16)
-    h = np.empty(size, dtype=np.int16)
+    # f(S) <= cap < unreached, |h(S)| <= n^2/8 < 128 and 2*|N(v) & S| < 2^8
+    # fit the tables and uint8 counts; h(S) is written once S is reached
+    unreached, ftype = (127, np.int8) if cap < 127 else (_UNREACHED, np.int16)
+    f = np.full(size, unreached, dtype=ftype)
+    h = np.empty(size, dtype=np.int8)
     f[0], h[0] = 0, oddmask.bit_count() // 2
     layer = halves = np.zeros(1, dtype=np.int32)
     for k in range(1, n - half + 1):
@@ -182,19 +187,19 @@ def brush_number_dp(
             common = np.bitwise_count(s & marr)
             # sums in place: one temporary fewer each, a few % on 15-20 vertices
             cost = np.maximum(darr - 2 * common, 0)
-            cost += np.take(f, s)
-            child_h = np.take(h, s) - ceil_half
+            cost += f.take(s)
+            child_h = h.take(s) - ceil_half
             child_h += common
             bound = np.maximum(child_h, 0)
             bound += cost
             flip = s ^ bits  # S | v where v is outside S, else S - v
             # flat indices: a 2-d boolean index gathers about 5x slower
-            keep = np.flatnonzero((bound <= cap) & (flip > s))
-            child = np.take(flip, keep)
-            new = np.take(f, child) == _UNREACHED
+            keep = ((bound <= cap) & (flip > s)).ravel().nonzero()[0]
+            child = flip.take(keep)
+            new = f.take(child) == unreached
             fresh.append(child[new])
-            h[fresh[-1]] = np.take(child_h, keep[new])
-            np.minimum.at(f, child, np.take(cost, keep))
+            h[fresh[-1]] = child_h.take(keep[new])
+            np.minimum.at(f, child, cost.take(keep).astype(ftype, copy=False))  # int16 into int8: 20x slower
         # the reached sets, ascending; np.unique is 40x slower at 2M
         layer = np.concatenate(fresh)
         layer.sort()
@@ -205,9 +210,10 @@ def brush_number_dp(
         if k == half:
             halves = layer
 
-    # reached halves only; cut(S) = odd-degree vertices outside S minus 2h(S)
-    cut = np.bitwise_count(~halves & oddmask) - 2 * np.take(h, halves)
-    total = np.take(f, halves) + np.take(f, (size - 1) ^ halves) - cut
+    # reached halves only; cut(S) = odd-degree vertices outside S minus 2h(S),
+    # summed in int16: 2h(S) leaves int8 from 23 vertices, f(S) + an unreached 127 at once
+    cut = np.bitwise_count(~halves & oddmask) - 2 * h.take(halves).astype(np.int16)
+    total = f.take(halves).astype(np.int16) + f.take((size - 1) ^ halves) - cut
     pick = int(np.argmin(total))
     value = int(total[pick])
     s = int(halves[pick])

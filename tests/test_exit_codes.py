@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import graphclean.cli as cli
-from graphclean import GraphCleanError, InfeasibleStepError, ParseError
+from graphclean import GraphCleanError, InfeasibleStepError, ParseError, TooLargeError, parse_sequence
+from graphclean.graphs import MAX_HEADER_VERTICES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -59,3 +60,49 @@ def test_main_returns_the_exit_code(cls, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == cls.exit_code
     assert err.startswith("error: ")
+
+
+def test_main_maps_memory_error_to_the_size_cap(monkeypatch, capsys):
+    def fail(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_config", fail)
+    assert cli.main(["config", "torus", "3", "3"]) == 3
+    assert "internal:" not in capsys.readouterr().err
+
+
+# A header count past the limit is refused before anything is allocated
+# for it; unchecked, "p" and "b" counts like these ran out of memory.
+HUGE = 99999999999
+
+
+@pytest.mark.parametrize(
+    "files, argv",
+    [
+        ({"g": f"p {HUGE}\n"}, ["solve", "g"]),
+        ({"g": "p 2\n0 1\n", "c": f"b {HUGE}\n"}, ["verify", "g", "c"]),
+        (
+            {"g": "p 2\n0 1\n", "c": "b 2\n0 1\n", "s": f"s {HUGE}\n"},
+            ["verify", "g", "c", "--sequence", "s"],
+        ),
+        (
+            {"c": f"b {HUGE}\n", "s": "s 9\n"},
+            ["reduce", "torus-rows", "3", "3", "--config", "c", "--sequence", "s"],
+        ),
+    ],
+    ids=["p", "b", "s", "reduce-b"],
+)
+def test_huge_header_count_is_over_the_size_cap(files, argv, tmp_path, capsys):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code = cli.main([str(tmp_path / a) if a in files else a for a in argv])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "internal:" not in err and f"{HUGE} vertices exceed" in err
+
+
+def test_header_limit_admits_its_own_count():
+    # a sequence header allocates nothing, so the limit itself is cheap to read
+    assert parse_sequence(f"s {MAX_HEADER_VERTICES}\n").order == ()
+    with pytest.raises(TooLargeError):
+        parse_sequence(f"s {MAX_HEADER_VERTICES + 1}\n")

@@ -266,6 +266,28 @@ def test_pruned_dp_matches_unpruned(g):
     assert (result.value, result.witness.order) == unpruned_half_dp(g)
 
 
+# f is int8 below a greedy cap of 127 and int16 from it; a looser cap
+# only prunes less, so the value and witness stay those of the full table
+
+@pytest.mark.parametrize("cap", [126, 127, 200])
+def test_loose_caps_match_unpruned_seeded(monkeypatch, cap):
+    greedy = solver._greedy_order
+    monkeypatch.setattr(solver, "_greedy_order", lambda g: (greedy(g)[0], cap))
+    for g in seeded_cases():
+        result = brush_number_dp(g)
+        assert (result.value, result.witness.order) == unpruned_half_dp(g)
+
+
+@pytest.mark.parametrize("n", [22, 23])
+def test_clique_join_sums_past_int8(n):
+    # K22: f(S) + f(V - S) = 121 + 121 on an int8 table; K23: cap 132
+    # takes the int16 table, and 2h(S) = -132 on the half layer
+    g = make_clique(n)
+    result = brush_number_dp(g, max_vertices=23)
+    assert result.value == n * n // 4
+    assert minimal_config_for_sequence(g, result.witness).total == result.value
+
+
 # At the default chunk size no layer of a graph on at most 10 vertices
 # spans two chunks; with 3 sets a chunk, a set reached from parents in
 # two chunks is new in the first and must keep the lower cost of both.
@@ -339,6 +361,12 @@ def test_dp_cap():
     brush_number_dp(make_clique(12), max_vertices=12)
     with pytest.raises(TooLargeError):
         brush_number_dp(make_clique(13), max_vertices=12)
+
+
+def test_dp_refuses_more_vertices_than_its_set_masks_hold():
+    # refused before the memory estimate, which a huge limit would pass
+    with pytest.raises(TooLargeError):
+        brush_number_dp(make_cycle(32), max_vertices=32, memory_limit_mb=10**9)
 
 
 def test_dp_memory_guard():
