@@ -36,6 +36,7 @@ from .errors import (
     InvalidParameterError,
     ParseError,
     ResourceLimitError,
+    TooLargeError,
 )
 from .graphs import Graph, ProductLabeling, cartesian_product, parse_edge_list, serialize_edge_list
 from .solver import (
@@ -58,7 +59,7 @@ T = TypeVar("T")
 # ------------------------------------------------------------- utilities
 
 def _load(parse: Callable[[str], T], path: str) -> T:
-    """Read and parse one input file, naming it in any parse error."""
+    """Read and parse one input file, naming it in any parse or size-cap error."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -68,6 +69,8 @@ def _load(parse: Callable[[str], T], path: str) -> T:
         return parse(text)
     except ParseError as exc:
         raise ParseError(exc.line_no, exc.message, source=path) from None
+    except TooLargeError as exc:
+        raise TooLargeError(f"{path}: {exc}") from None
 
 
 def _save(path: str | Path, text: str) -> None:

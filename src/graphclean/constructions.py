@@ -456,45 +456,17 @@ class BoundaryClassCounts(Record):
         return self.a + self.b + self.c + self.d + self.e + self.f + self.g + self.h
 
 
-def _boundary_classes(
-    labeling: ProductLabeling, w0: BrushConfig, pos: list[int]
-) -> list[str]:
-    # the class of pair x, from its key bits: first copy empty, cleaned
-    # from the second copy, second copy empty
-    return [
-        "abcdefgh"[4 * (w0[u] == 0) + 2 * (pos[u] > pos[v]) + (w0[v] == 0)]
-        for u, v in ((labeling.id(x, 0), labeling.id(x, 1)) for x in range(labeling.m))
-    ]
-
-
 def classify_boundary_pairs(
     labeling: ProductLabeling, w0: BrushConfig, seq: CleaningSequence
 ) -> BoundaryClassCounts:
-    """Classify the m pairs between clique copies 0 and 1 of K_m x P_n.
+    """Classify the m pairs between clique copies 0 and 1 of K_m x P_n:
+    the classes of delete_clique_layer's reduction.
 
     Optimal cleanings of even-order products place positive first-copy
     brushes on the first half of that copy's cleaning order; violations
     are reported in diagnostics rather than rejected.
     """
-    pos = _simulate_or_invalid(FAMILIES["km-pn"].build(labeling.m, labeling.n), w0, seq)
-    return _boundary_counts(labeling, w0, pos, _boundary_classes(labeling, w0, pos))
-
-
-def _boundary_counts(
-    labeling: ProductLabeling, w0: BrushConfig, pos: list[int], classes: list[str]
-) -> BoundaryClassCounts:
-    # classify_boundary_pairs from the checked positions and per-pair classes
-    m = labeling.m
-    diagnostics: list[str] = []
-    if m % 2 == 0:
-        first_copy = sorted((labeling.id(x, 0) for x in range(m)), key=pos.__getitem__)
-        for rank, u in enumerate(first_copy, start=1):
-            if w0[u] > 0 and rank > m // 2:
-                diagnostics.append(
-                    f"vertex {u} holds {w0[u]} brushes but is cleaned "
-                    f"{rank}th of {m} in its copy"
-                )
-    return BoundaryClassCounts(*map(classes.count, "abcdefgh"), diagnostics=tuple(diagnostics))
+    return delete_clique_layer(labeling, w0, seq).classes
 
 
 class CliqueLayerReduction(Record):
@@ -528,7 +500,18 @@ def delete_clique_layer(
     """
     m, n = labeling.m, labeling.n
     pos = _simulate_or_invalid(FAMILIES["km-pn"].build(m, n), w0, seq)
-    classes = _boundary_classes(labeling, w0, pos)
+    # the class of pair x, from its key bits: first copy empty, cleaned
+    # from the second copy, second copy empty
+    classes = [
+        "abcdefgh"[4 * (w0[u] == 0) + 2 * (pos[u] > pos[v]) + (w0[v] == 0)]
+        for u, v in ((labeling.id(x, 0), labeling.id(x, 1)) for x in range(m))
+    ]
+    first_copy = sorted((labeling.id(x, 0) for x in range(m)), key=pos.__getitem__)
+    diagnostics = tuple(
+        f"vertex {u} holds {w0[u]} brushes but is cleaned at rank {rank} of {m} in its copy"
+        for rank, u in enumerate(first_copy, start=1)
+        if m % 2 == 0 and w0[u] > 0 and rank > m // 2
+    )
 
     new_lab = ProductLabeling(m, n - 1)
     counts = [0] * (m * (n - 1))
@@ -552,5 +535,5 @@ def delete_clique_layer(
     kept = CleaningSequence(tuple(v - v // n - 1 for v in seq if v % n))
     return CliqueLayerReduction(
         new_g, new_lab, new_w0, cleaning_order(new_g, new_w0, kept),
-        _boundary_counts(labeling, w0, pos, classes),
+        BoundaryClassCounts(*map(classes.count, "abcdefgh"), diagnostics=diagnostics),
     )

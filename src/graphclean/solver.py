@@ -113,6 +113,51 @@ def _walk_back(f: np.ndarray, s: int, masks: list[int], degs: list[int]) -> list
     return seq
 
 
+def _dp_layers(f: np.ndarray, h: np.ndarray, masks: list[int], degs: list[int], cap: int, unreached: int):
+    """Fill f and h from their empty-set entries one layer at a time and
+    yield the kept sets of 0, 1, ..., ceil(n/2) vertices, each layer
+    ascending and with its entries filled; S | u is kept when f + LB <=
+    cap, as brush_number_dp states.  A layer is pushed in chunks of
+    DP_CHUNK_ROWS sets, each a grid with one row per vertex and one
+    column per set, so that every ufunc runs along the chunk rather than
+    over the n vertices."""
+    import numpy as np
+    marr = np.array(masks, dtype=np.int32)[:, None]
+    bits = np.left_shift(1, np.arange(len(masks), dtype=np.int32))[:, None]
+    darr = np.array(degs, dtype=np.int16)[:, None]
+    ceil_half = (darr + 1) >> 1
+    layer = np.zeros(1, dtype=np.int32)
+    yield layer
+    for _ in range((len(masks) + 1) // 2):
+        fresh = []
+        for lo in range(0, layer.size, DP_CHUNK_ROWS):
+            s = layer[lo : lo + DP_CHUNK_ROWS]
+            common = np.bitwise_count(s & marr)
+            # sums in place: one temporary fewer each, a few % on 15-20 vertices
+            cost = np.maximum(darr - 2 * common, 0)
+            cost += f.take(s)
+            child_h = h.take(s) - ceil_half
+            child_h += common
+            bound = np.maximum(child_h, 0)
+            bound += cost
+            flip = s ^ bits  # S | v where v is outside S, else S - v
+            # flat indices: a 2-d boolean index gathers about 5x slower
+            keep = ((bound <= cap) & (flip > s)).ravel().nonzero()[0]
+            child = flip.take(keep)
+            new = f.take(child) == unreached
+            fresh.append(child[new])
+            h[fresh[-1]] = child_h.take(keep[new])
+            np.minimum.at(f, child, cost.take(keep).astype(f.dtype, copy=False))  # int16 into int8: 20x slower
+        # the reached sets, ascending; np.unique is 40x slower at 2M
+        layer = np.concatenate(fresh)
+        layer.sort()
+        first = np.empty(layer.size, dtype=bool)
+        first[0] = True
+        np.not_equal(layer[1:], layer[:-1], out=first[1:])
+        layer = layer[first]
+        yield layer
+
+
 def brush_number_dp(
     g: Graph,
     *,
@@ -142,10 +187,6 @@ def brush_number_dp(
     entries, one through an unreached set costs more, and the output is
     that of the full table.  states is still the table size 2^|V|.
 
-    A layer is pushed in chunks of DP_CHUNK_ROWS sets, each a grid with
-    one row per vertex and one column per set, so that every ufunc runs
-    along the chunk rather than over the n vertices.
-
     Memory grows as 2^|V|, about DP_BYTES_PER_STATE bytes per subset, of
     which f and h take one each (f widens to int16 only when cap >= 127,
     as 127 marks unreached).  Any order's steps on S sum to at least
@@ -164,11 +205,6 @@ def brush_number_dp(
     import numpy as np
     start = time.perf_counter()
     masks, degs = _adjacency_masks(g)
-    # one row per vertex, so that every ufunc below runs along a chunk of sets
-    marr = np.array(masks, dtype=np.int32)[:, None]
-    bits = np.left_shift(1, np.arange(n, dtype=np.int32))[:, None]
-    darr = np.array(degs, dtype=np.int16)[:, None]
-    ceil_half = (darr + 1) >> 1
     size = 1 << n
     half = n // 2
     cap = _greedy_order(g)[1]
@@ -179,34 +215,7 @@ def brush_number_dp(
     f = np.full(size, unreached, dtype=ftype)
     h = np.empty(size, dtype=np.int8)
     f[0], h[0] = 0, oddmask.bit_count() // 2
-    layer = halves = np.zeros(1, dtype=np.int32)
-    for k in range(1, n - half + 1):
-        fresh = []
-        for lo in range(0, layer.size, DP_CHUNK_ROWS):
-            s = layer[lo : lo + DP_CHUNK_ROWS]
-            common = np.bitwise_count(s & marr)
-            # sums in place: one temporary fewer each, a few % on 15-20 vertices
-            cost = np.maximum(darr - 2 * common, 0)
-            cost += f.take(s)
-            child_h = h.take(s) - ceil_half
-            child_h += common
-            bound = np.maximum(child_h, 0)
-            bound += cost
-            flip = s ^ bits  # S | v where v is outside S, else S - v
-            # flat indices: a 2-d boolean index gathers about 5x slower
-            keep = ((bound <= cap) & (flip > s)).ravel().nonzero()[0]
-            child = flip.take(keep)
-            new = f.take(child) == unreached
-            fresh.append(child[new])
-            h[fresh[-1]] = child_h.take(keep[new])
-            np.minimum.at(f, child, cost.take(keep).astype(ftype, copy=False))  # int16 into int8: 20x slower
-        # the reached sets, ascending; np.unique is 40x slower at 2M
-        layer = np.concatenate(fresh)
-        layer.sort()
-        first = np.empty(layer.size, dtype=bool)
-        first[0] = True
-        np.not_equal(layer[1:], layer[:-1], out=first[1:])
-        layer = layer[first]
+    for k, layer in enumerate(_dp_layers(f, h, masks, degs, cap, unreached)):
         if k == half:
             halves = layer
 

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from graphclean import (
     BrushConfig,
     CleaningSequence,
+    GraphCleanError,
     brush_number_dp,
     cartesian_product,
     graph_from_edges,
@@ -24,8 +25,9 @@ from graphclean import (
     serialize_edge_list,
     serialize_sequence,
 )
-from graphclean import cli
+from graphclean import cli, constructions as cons
 from graphclean.cli import main
+from graphclean.graphs import MAX_HEADER_VERTICES
 
 
 def run(capsys, *args):
@@ -351,6 +353,22 @@ def test_unread_option_is_refused(tmp_path, capsys, argv, message):
     code, out, err = run(capsys, *(a.format(t45=t45, kp43=kp43) for a in argv))
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "torus", "3"], "torus takes 2 parameters, got 1"),
+        (["gen", "torus", "3", "x"], "torus parameters must be integers: ['3', 'x']"),
+        (["report", "torus", "--instances", "3x3,4"], "bad instance '4', expected MxN"),
+        (["report", "torus", "--instances", "3xq"], "bad instance '3xq', expected MxN"),
+        (["gen", "product", "a.graph"], "product takes two edge-list files"),
+    ],
+    ids=["arity", "integers", "instance-fields", "instance-integers", "product-files"],
+)
+def test_bad_parameters_are_refused(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 # ------------------------------------------------- many calls, one process
@@ -755,6 +773,32 @@ def test_reduce_clique_layer_prints_the_deletion(tmp_path, capsys, m, n, write, 
         assert Path(out_prefix + ".sequence").read_text() == "s 8\n0 2 4 6 1 3 5 7\n"
 
 
+
+# every vertex of K4 x P2 holds 4 brushes and copy 0 cleans first, so
+# its vertices at ranks 3 and 4 hold brushes past the half-way rank
+KP_42_STOCKED_DELETION = """kind=clique-layer m=4 n=2
+classes=a:4 b:0 c:0 d:0 e:0 f:0 g:0 h:0
+diagnostic=vertex 4 holds 4 brushes but is cleaned at rank 3 of 4 in its copy
+diagnostic=vertex 6 holds 4 brushes but is cleaned at rank 4 of 4 in its copy
+reduced=K4xP1
+total_before=32
+total_after=20
+savings=12
+verified=true
+"""
+
+
+def test_reduce_clique_layer_prints_its_diagnostics(tmp_path, capsys):
+    config, sequence = tmp_path / "w.config", tmp_path / "w.sequence"
+    config.write_text(serialize_brush_config(BrushConfig((4,) * 8)))
+    sequence.write_text("s 8\n0 2 4 6 1 3 5 7\n")
+    got = run(
+        capsys, "reduce", "clique-layer", "4", "2",
+        "--config", str(config), "--sequence", str(sequence),
+    )
+    assert got == (0, KP_42_STOCKED_DELETION, "")
+
+
 def test_reduce_clique_layer_checks_its_input_once(tmp_path, capsys, monkeypatch):
     prefix = str(tmp_path / "kp43")
     run(capsys, "config", "km-pn", "4", "3", "--out-prefix", prefix)
@@ -940,3 +984,159 @@ def test_report_row_over_the_timeout_is_incomplete(capsys):
     assert out.splitlines()[-1] == (
         "summary suite=torus rows=1 mismatches=0 skipped=0 incomplete=1"
     )
+
+
+
+
+
+# ------------------------------------------------------------- argv fuzz
+
+# An argv grammar over all six commands, with generated input files.
+# Each part is mostly well formed, so that most runs get past parsing.
+# Sizes stay small, so that no run allocates or searches for long:
+# header counts of at most 64 or past the header limit, at most 12
+# lines a file, product sides of at most 5, --jobs 1 and short
+# branch-and-bound timeouts.
+
+def _mostly(good, bad):
+    # seven well-formed draws to one malformed; st.one_of(good, good, ...)
+    # would merge the repeated branches into one
+    return st.integers(0, 7).flatmap(lambda k: bad if k == 0 else good)
+
+
+def _pick(good, bad):
+    return _mostly(st.sampled_from(good), st.sampled_from(bad))
+
+
+def _option(name, good, bad):
+    # left out three times in four
+    value = _pick(good, bad).map(lambda v: [name, v])
+    return st.integers(0, 3).flatmap(lambda k: st.just([]) if k else value)
+
+
+COUNTS = _mostly(
+    st.one_of(st.integers(0, 8), st.integers(0, 64)), st.integers(MAX_HEADER_VERTICES + 1, 10**12)
+)
+SIDES = _pick([str(k) for k in range(6)], ["-1", "x", "2.5", ""])
+JUNK_LINES = ["x y", "1", "1 2 3", "-1 0", "0 0", "0 99", "# note", ""]
+BAD_HEADERS = ["{tag}", "{tag} x", "{tag} -1", "q 3", ""]
+TIMEOUT = (["0", "0.02"], ["nan", "-1"])
+STRAY_OPTIONS = [
+    ["--timeout", "0.02"], ["--upper-hint", "3"], ["--max-dp-vertices", "4"], ["--row", "1"],
+    ["--order", "3"], ["--factor", "P2"], ["--instances", "3x3"], ["--m-range", "3..4"],
+]
+
+
+@st.composite
+def input_text(draw, tag, count):
+    """A "<tag> N" file: edges for p, brush counts for b, an order for s."""
+    n = draw(_mostly(st.just(count), COUNTS))
+    header = draw(_mostly(st.just(f"{tag} {n}"), st.sampled_from(BAD_HEADERS)))
+    ids = range(min(n, 64))
+    body = []
+    if tag == "s":
+        body = [" ".join(map(str, draw(st.permutations(ids))))]
+    elif tag == "p" and len(ids) > 1:
+        edges = st.lists(st.sampled_from(list(combinations(ids, 2))), unique=True, max_size=12)
+        body = [f"{u} {v}" for u, v in draw(edges)]
+    elif tag == "b" and ids:
+        counts = st.tuples(st.sampled_from(ids), st.integers(0, 4))
+        body = [f"{v} {c}" for v, c in draw(st.lists(counts, unique_by=lambda e: e[0], max_size=12))]
+    if draw(_mostly(st.just(False), st.just(True))):
+        body.insert(draw(st.integers(0, len(body))), draw(st.sampled_from(JUNK_LINES)))
+    return "\n".join([header.format(tag=tag), *body]) + "\n"
+
+
+def closed_form_texts(family, m, n):
+    """The config and sequence texts of family(m, n)'s closed-form cleaning, if it has one."""
+    try:
+        entry = cons.FAMILIES[family]
+        w0, seq = entry.config(int(m), int(n)), entry.sequence(int(m), int(n))
+    except (ValueError, GraphCleanError):
+        return None
+    return serialize_brush_config(w0), serialize_sequence(seq, len(w0.counts))
+
+
+@st.composite
+def command_lines(draw):
+    """An argv of one command, and the texts of the input files it names."""
+    # report, which has the most options, is drawn twice as often
+    commands = ["gen", "solve", "config", "verify", "reduce", "report", "report"]
+    command = draw(st.sampled_from(commands))
+    count = draw(COUNTS)
+    files = {}
+
+    def path(tag, text=None):
+        name = f"in{len(files)}.{tag}"
+        files[name] = draw(input_text(tag, count)) if text is None else text
+        return name
+
+    if command in ("gen", "config"):
+        family = draw(_pick([*cons.FAMILIES, "product"], ["wheel"]))
+        if family == "product":
+            params = [path("p") for _ in range(draw(_pick([2], [1, 3])))]
+        else:
+            arity = cons.FAMILIES[family].arity if family in cons.FAMILIES else 1
+            params = draw(_mostly(st.lists(SIDES, min_size=arity, max_size=arity), st.lists(SIDES)))
+        out = ["-o", "out.graph"] if command == "gen" else ["--out-prefix", "out"]
+        argv = [command, family, *params, *draw(st.sampled_from([[], out]))]
+    elif command == "solve":
+        method = draw(_pick(["dp", "bnb", "brute"], ["ilp"]))
+        argv = ["solve", path("p"), "--method", method]
+        if method == "bnb":  # always on a short timeout
+            argv += ["--timeout", draw(_pick(*TIMEOUT))]
+            argv += draw(_option("--upper-hint", ["0", "3"], ["-1", "x"]))
+        elif method == "dp":
+            argv += draw(_option("--max-dp-vertices", ["0", "4", "16"], ["-1", "x"]))
+    elif command == "verify":
+        argv = ["verify", path("p"), path("b")]
+        argv += ["--sequence", path("s")] if draw(st.booleans()) else []
+    elif command == "reduce":
+        kind = draw(_pick(["torus-rows", "clique-layer"], ["layer"]))
+        m, n = draw(SIDES), draw(SIDES)
+        texts = closed_form_texts("torus" if kind == "torus-rows" else "km-pn", m, n)
+        config, sequence = texts if texts and draw(_pick([True], [False])) else (None, None)
+        argv = ["reduce", kind, m, n, "--config", path("b", config)]
+        argv += ["--sequence", path("s", sequence)]
+        argv += draw(_option("--row", ["0", "1"], ["7", "-1"]))
+        argv += draw(st.sampled_from([[], ["--out-prefix", "out"]]))
+    else:
+        suite = draw(_pick(["torus", "km-pn", "km-cn", "box"], ["kn"]))
+        argv = ["report", suite]
+        if suite == "box":
+            argv += draw(_option("--order", ["1", "3", "5"], ["0", "x"]))
+            argv += ["--factor", draw(_pick(["P2", "C3", "K2"], ["Q2", "P"]))]
+        else:
+            # sides of at most 4, as a 5x5 row that falls back to the branch and bound takes 0.5 s
+            sides = _pick(["2", "3", "4"], ["-1", "x", ""])
+            instance = _mostly(
+                st.tuples(sides, sides).map("x".join), st.sampled_from(["3", "3x3x3"])
+            )
+            ranges = st.one_of(
+                st.tuples(sides, sides).map("..".join),
+                st.sampled_from(["3", "3:4", "4..3", "3..x", "..", "a"]),
+            )
+            form = draw(st.sampled_from(["default", "instances", "ranges", "ranges"]))
+            if form == "instances":
+                argv += ["--instances", ",".join(draw(st.lists(instance, min_size=1, max_size=3)))]
+            elif form == "ranges":
+                argv += ["--m-range", draw(ranges), "--n-range", draw(ranges)]
+        if suite in ("torus", "km-pn"):
+            argv += draw(_option("--timeout", *TIMEOUT))
+        argv += draw(_option("--jobs", ["1"], ["0", "-1", "x"]))  # never a process pool
+        argv += draw(_option("--max-dp-vertices", ["0", "4", "16"], ["-1"]))
+    # now and then an option that the command refuses or does not know
+    argv += draw(_mostly(st.just([]), st.sampled_from(STRAY_OPTIONS)))
+    return argv, files
+
+
+@given(command_lines())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_command_line_exits_with_a_listed_code(tmp_path, capsys, case):
+    argv, files = case
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    names = {*files, "out", "out.graph"}
+    code, _, err = run(capsys, *(str(tmp_path / a) if a in names else a for a in argv))
+    assert 0 <= code <= 5
+    assert "internal:" not in err

@@ -101,6 +101,20 @@ def test_huge_header_count_is_over_the_size_cap(files, argv, tmp_path, capsys):
     assert "internal:" not in err and f"{HUGE} vertices exceed" in err
 
 
+
+def test_size_cap_error_names_its_file(tmp_path, capsys):
+    # as a parse error does: the refused count may sit in any of three files
+    graph, config = tmp_path / "g.graph", tmp_path / "w.config"
+    sequence = tmp_path / "huge.sequence"
+    graph.write_text("p 2\n0 1\n")
+    config.write_text("b 2\n0 1\n")
+    sequence.write_text(f"s {HUGE}\n")
+    assert cli.main(["verify", str(graph), str(config), "--sequence", str(sequence)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {sequence}: line 1: {HUGE} vertices exceed the limit of {MAX_HEADER_VERTICES}\n"
+    )
+
+
 def test_header_limit_admits_its_own_count():
     # a sequence header allocates nothing, so the limit itself is cheap to read
     assert parse_sequence(f"s {MAX_HEADER_VERTICES}\n").order == ()
