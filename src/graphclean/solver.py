@@ -267,12 +267,17 @@ def brush_number_bnb(
     """Branch-and-bound over cleaning prefixes, as one loop over an explicit stack.
 
     Branches on the next-cleaned vertex, cheapest marginal cost first:
-    each node's children are pushed most expensive first.  A child is
-    pushed only when its cost plus a parity bound on the remainder can
-    beat the incumbent and a dominance table of up to BNB_MEMO_ENTRIES
-    keys has not reached its key as cheaply.  Both cuts run again when
-    it is popped, as the incumbent and the table may have improved since.
-    states counts the popped nodes.
+    each node's children are pushed most expensive first.  The lowest
+    free vertex u of no cost, if any, is the only child: moving u to the
+    front of any completion keeps its cost 0 and can only lower the
+    others', so some optimal order takes every such move.  As u depends
+    on the cleaned set alone, the memo, the upper_hint proof and the
+    timeout bound hold over those orders.  A child is pushed only when
+    its cost plus a parity bound on the remainder can beat the incumbent
+    and a dominance table of up to BNB_MEMO_ENTRIES keys has not reached
+    its key as cheaply.  Both cuts run again when it is popped, as the
+    incumbent and the table may have improved since.  states counts the
+    popped nodes.
 
     The memo is keyed by Aut(G)-orbits found from g itself: when
     automorphisms(g) gives at least ORBIT_MIN_GROUP of them (at most
@@ -332,9 +337,10 @@ def brush_number_bnb(
         cost, v, deficit, depth, key = stack.pop()
         states += 1
         if deadline is not None and states % every == 0 and time.monotonic() > deadline:
-            # every unexplored order extends the popped prefix or one on
-            # the stack, or was cut at a cost of at least cap; each of
-            # those prefixes costs at least its cost plus parity bound
+            # some cheapest order takes every forced move; each such
+            # order left unexplored extends the popped prefix or one on
+            # the stack, or was cut at a cost of at least cap, and each
+            # of those prefixes costs at least its cost plus parity bound
             stack.append((cost, v, deficit, depth, key))
             least = min(c + max(0, (d + 1) // 2) for c, _, d, _, _ in stack)
             lower = max(lower, min(cap, least))
@@ -373,13 +379,17 @@ def brush_number_bnb(
             for x in adj[w]:
                 marg[x] -= 2
         # (cost, vertex, deficit) of each child whose cost plus parity
-        # bound can beat cap; the last vertex adds no cost, so it can
+        # bound can beat cap; the lowest free vertex of no cost, if any,
+        # is the only child (always so for the last free vertex)
         children = []
         for u in free:
             m = marg[u]
             child_cost = cost + m if m > 0 else cost
             child_deficit = deficit - odd_of[u] - m
             bound = child_cost + (child_deficit + 1) // 2 if child_deficit > 0 else child_cost
+            if m <= 0:
+                children = [(child_cost, u, child_deficit)] if bound < cap else []
+                break
             if bound < cap:
                 children.append((child_cost, u, child_deficit))
         if not children:

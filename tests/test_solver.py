@@ -9,6 +9,7 @@ import random
 import tracemalloc
 from itertools import combinations
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -117,6 +118,34 @@ def test_bnb_matches_dp(g):
     assert brush_number_bnb(g).value == dp.value
     # a hint equal to the optimum must not break exactness
     assert brush_number_bnb(g, dp.value).value == dp.value
+
+
+@st.composite
+def symmetric_or_random_graphs(draw):
+    # 8-12 vertices: a random graph, or a random left factor times K2, P3
+    # or C3, whose group has at least two automorphisms to key by
+    if draw(st.booleans()):
+        return draw(graphs(min_vertices=8, max_vertices=12))
+    right = draw(st.sampled_from([make_path(2), make_path(3), make_cycle(3)]))
+    k = right.vertex_count
+    left = draw(graphs(min_vertices=-(-8 // k), max_vertices=12 // k))
+    return cartesian_product(left, right)[0]
+
+
+@given(symmetric_or_random_graphs(), st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_bnb_matches_dp_past_brute_reach(g, orbit_keys):
+    # zero-cost vertices are forced moves: the search must still reach
+    # b(G) on plain and orbit keys, and prove it under upper_hint = b(G)
+    b = brush_number_dp(g).value
+    # a least group of 1 keys every search by orbits; one above the most
+    # automorphisms the search reads keys none
+    least_group = 1 if orbit_keys else solver.ORBIT_MAX_GROUP + 1
+    with patch.object(solver, "ORBIT_MIN_GROUP", least_group):
+        for hint in (None, b):
+            result = brush_number_bnb(g, hint, timeout=None)
+            assert (result.value, result.complete) == (b, True)
+            assert minimal_config_for_sequence(g, result.witness).total == b
 
 
 @given(graphs(max_vertices=7))
@@ -435,15 +464,15 @@ def test_bnb_hint_below_optimum_proves_hint_plus_one():
 BNB_PINS = [
     pytest.param(
         cartesian_product(make_cycle(3), make_cycle(5))[0], None,
-        12, 91, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14), True, id="C3xC5",
+        12, 85, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14), True, id="C3xC5",
     ),
     pytest.param(
         cartesian_product(make_clique(3), make_path(5))[0], None,
-        11, 356, (0, 5, 10, 1, 6, 11, 2, 7, 12, 3, 8, 13, 4, 9, 14), True, id="K3xP5",
+        11, 261, (0, 5, 10, 1, 6, 11, 2, 7, 12, 3, 8, 13, 4, 9, 14), True, id="K3xP5",
     ),
     pytest.param(
         random_graph(random.Random(7), 12, 0.4), None,
-        11, 184, (9, 11, 4, 0, 3, 7, 8, 2, 5, 1, 6, 10), True, id="gnp-12-seed7",
+        11, 173, (9, 11, 4, 0, 3, 7, 8, 2, 5, 1, 6, 10), True, id="gnp-12-seed7",
     ),
     pytest.param(
         graph_from_edges(10, BAD_HINT_EDGES), 6,
@@ -451,22 +480,22 @@ BNB_PINS = [
     ),
     pytest.param(
         graph_from_edges(10, BAD_HINT_EDGES), 7,
-        7, 47, (6, 5, 4, 7, 9, 1, 3, 2, 0, 8), True, id="bad-hint-7",
+        7, 45, (6, 5, 4, 7, 9, 1, 3, 2, 0, 8), True, id="bad-hint-7",
     ),
     # plain keys with deep backtracks: the prefix state is undone and redone
     pytest.param(
         random_graph(random.Random(2), 17, 0.35), None,
-        15, 1043, (2, 3, 0, 12, 4, 5, 7, 16, 1, 6, 13, 9, 8, 10, 11, 14, 15), True,
+        15, 952, (2, 3, 0, 12, 4, 5, 7, 16, 1, 6, 13, 9, 8, 10, 11, 14, 15), True,
         id="gnp-17-seed2",
     ),
     pytest.param(
         random_graph(random.Random(2), 17, 0.35), 13,
-        15, 660, (2, 3, 0, 12, 4, 5, 7, 16, 1, 6, 13, 9, 8, 10, 11, 14, 15), False,
+        15, 613, (2, 3, 0, 12, 4, 5, 7, 16, 1, 6, 13, 9, 8, 10, 11, 14, 15), False,
         id="gnp-17-seed2-hint-13",
     ),
     pytest.param(
         cartesian_product(make_clique(4), make_path(4))[0], None,
-        16, 509, (0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15), True, id="K4xP4",
+        16, 354, (0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15), True, id="K4xP4",
     ),
 ]
 
@@ -602,7 +631,7 @@ def test_plain_key_below_min_group():
     [
         # the parity bound is 0, but every prefix on the stack has
         # cleaned a vertex of degree 4
-        pytest.param(FAMILIES["torus"].build(5, 7), 20, 4, 0.2, id="C5xC7"),
+        pytest.param(FAMILIES["torus"].build(8, 8), 28, 4, 0.2, id="C8xC8"),
         pytest.param(FAMILIES["km-pn"].build(4, 8), 32, 0, 0.2, id="K4xP8"),
         pytest.param(random_graph(random.Random(1), 20, 0.4), None, 0, 0.01, id="gnp-20-seed1"),
     ],
@@ -626,13 +655,22 @@ def test_bnb_timeout_lower_bound_is_pinned(kind, m, n, lower):
     assert (result.complete, result.states, result.lower_bound) == (False, 256, lower)
 
 
-@pytest.mark.parametrize("m, n", [(5, 7), (4, 8)], ids=["C5xC7", "C4xC8"])
-def test_bnb_completes_past_dp_cap(m, n):
-    # 35 and 32 vertices, out of the DP's reach; b = 20 by the closed form
-    g = FAMILIES["torus"].build(m, n)
+@pytest.mark.parametrize(
+    "kind, m, n, value, states",
+    [
+        ("torus", 5, 7, 20, 7112),
+        ("torus", 4, 8, 20, 5371),
+        ("km-pn", 3, 10, 21, 70243),
+        ("torus", 4, 10, 24, 61940),
+    ],
+    ids=["C5xC7", "C4xC8", "K3xP10", "C4xC10"],
+)
+def test_bnb_completes_past_dp_cap(kind, m, n, value, states):
+    # 30 to 40 vertices, out of the DP's reach; value by the closed form
+    g = FAMILIES[kind].build(m, n)
     result = brush_number_bnb(g, timeout=30)
-    assert (result.value, result.complete) == (20, True)
-    assert minimal_config_for_sequence(g, result.witness).total == 20
+    assert (result.value, result.complete, result.states) == (value, True, states)
+    assert minimal_config_for_sequence(g, result.witness).total == value
 
 
 # ------------------------------------------------------------- box sweep
