@@ -81,17 +81,19 @@ class CleaningTrace(Record):
         return sum(self.final_brushes)
 
 
-def _check_sizes(g: Graph, counts: Sized) -> None:
-    if len(counts) != g.vertex_count:
-        raise InvalidInputError(
-            f"config covers {len(counts)} vertices, graph has {g.vertex_count}"
-        )
+def _check_sizes(n: int, counts: Sized, seq: CleaningSequence | None = None) -> None:
+    """Refuse counts, and seq when given, unless they cover n vertices,
+    with check_cleaning's errors but without a graph."""
+    if len(counts) != n:
+        raise InvalidInputError(f"config covers {len(counts)} vertices, graph has {n}")
+    if seq is not None and len(seq) != n:
+        _positions(n, seq)  # refuses seq before it allocates
 
 
 def _positions(n: int, seq: CleaningSequence) -> list[int]:
     """pos[v] = k when seq fires v k-th; InvalidSequenceError unless seq visits all n vertices."""
-    pos = [0] * n
     if len(seq) == n:  # a CleaningSequence repeats no vertex
+        pos = [0] * n
         for k, v in enumerate(seq.order):
             if not 0 <= v < n:
                 break
@@ -149,7 +151,7 @@ def check_cleaning(g: Graph, w0: BrushConfig, seq: CleaningSequence) -> list[int
     none before it fires) and owes one to each neighbour fired after it,
     so this raises the (vertex, have, need) of the first short vertex in
     seq's order."""
-    _check_sizes(g, w0)
+    _check_sizes(g.vertex_count, w0)
     pos = _positions(g.vertex_count, seq)
     adjacency, counts = g.adjacency, w0.counts
     for k, v in enumerate(seq.order):
@@ -184,7 +186,7 @@ def can_clean(
     so repeatedly firing any satisfiable vertex finds an order exactly
     when one exists.  Returns (True, sequence) or (False, stuck vertices).
     """
-    _check_sizes(g, w0)
+    _check_sizes(g.vertex_count, w0)
     n = g.vertex_count
     brushes = list(w0.counts)
     dirty_deg = [g.degree(v) for v in range(n)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .cleaning import BrushConfig, CleaningSequence, check_cleaning, cleaning_order
+from .cleaning import BrushConfig, CleaningSequence, _check_sizes, check_cleaning, cleaning_order
 from .errors import (
     InfeasibleStepError,
     InternalInconsistencyError,
@@ -237,7 +237,7 @@ def combine_torus_rows(
         raise InvalidParameterError(f"merging rows needs m >= 4, got {m}")
     if not 0 <= row <= m - 2:
         raise InvalidParameterError(f"row must be in 0..{m - 2}, got {row}")
-    _simulate_or_invalid(FAMILIES["torus"].build(m, n), w0, seq)
+    _simulate_or_invalid("torus", m, n, w0, seq)
     return _merge_lines(labeling, w0, seq, "rows", row)[:4]
 
 
@@ -328,8 +328,7 @@ def reduce_torus(
     _check_torus_dims(m, n)
     if m < 4 and n < 4:
         raise InvalidParameterError(f"no axis of {m} x {n} can be shortened")
-    g = FAMILIES["torus"].build(m, n)
-    pos = _simulate_or_invalid(g, w0, seq)
+    g, pos = _simulate_or_invalid("torus", m, n, w0, seq)
     if w0.total != torus_brush_number(m, n):
         raise PreconditionViolationError(
             f"input total {w0.total} is not the optimal {torus_brush_number(m, n)}"
@@ -421,9 +420,16 @@ def _attempt_reduction(
     return None
 
 
-def _simulate_or_invalid(g: Graph, w0: BrushConfig, seq: CleaningSequence) -> list[int]:
+def _simulate_or_invalid(
+    family: str, m: int, n: int, w0: BrushConfig, seq: CleaningSequence
+) -> tuple[Graph, list[int]]:
+    """The family's m x n graph and seq's positions, once seq cleans it
+    from w0.  A config or sequence not of m * n vertices is refused
+    before the graph is built."""
+    _check_sizes(m * n, w0, seq)
+    g = FAMILIES[family].build(m, n)
     try:
-        return check_cleaning(g, w0, seq)
+        return g, check_cleaning(g, w0, seq)
     except InfeasibleStepError as exc:
         raise InvalidInputError(
             f"input pair does not clean the graph: {exc}"
@@ -499,7 +505,8 @@ def delete_clique_layer(
     (K_5 x P_4 gives 18, and b(K_5 x P_3) = 19), and sequence is None.
     """
     m, n = labeling.m, labeling.n
-    pos = _simulate_or_invalid(FAMILIES["km-pn"].build(m, n), w0, seq)
+    _check_km_pn_dims(m, n)
+    _, pos = _simulate_or_invalid("km-pn", m, n, w0, seq)
     # the class of pair x, from its key bits: first copy empty, cleaned
     # from the second copy, second copy empty
     classes = [

@@ -19,7 +19,8 @@ from .errors import InvalidParameterError, ParseError, TooLargeError
 if TYPE_CHECKING:
     import numpy as np
 
-# larger header counts are refused unallocated; "p 1000000" alone peaks at 44 MB in solve
+# larger header counts are refused unallocated ("p 1000000" alone peaks at 44 MB in solve),
+# as built graphs past it or 4x it in arcs are (C1000 x C1000 has 4 * 10^6: 344 MB in config)
 MAX_HEADER_VERTICES = 10**6
 
 
@@ -164,21 +165,33 @@ def _check_order(family: str, k: int, low: int) -> None:
         )
 
 
+def _check_size(vertices: int, arcs: int) -> None:
+    """Refuse a graph to be built with more than MAX_HEADER_VERTICES
+    vertices or 4 * MAX_HEADER_VERTICES arcs (twice its edges)."""
+    if vertices > MAX_HEADER_VERTICES:
+        raise TooLargeError(f"{vertices} vertices exceed the limit of {MAX_HEADER_VERTICES}")
+    if arcs > 4 * MAX_HEADER_VERTICES:
+        raise TooLargeError(f"{arcs} arcs exceed the limit of {4 * MAX_HEADER_VERTICES}")
+
+
 def make_path(k: int) -> Graph:
     """Path on k >= 1 vertices, edges i-(i+1)."""
     _check_order("path", k, 1)
+    _check_size(k, 2 * k - 2)
     return Graph(k, tuple(tuple(u for u in (v - 1, v + 1) if 0 <= u < k) for v in range(k)))
 
 
 def make_cycle(k: int) -> Graph:
     """Cycle on k >= 3 vertices."""
     _check_order("cycle", k, 3)
+    _check_size(k, 2 * k)
     return Graph(k, tuple(tuple(sorted([(v - 1) % k, (v + 1) % k])) for v in range(k)))
 
 
 def make_clique(k: int) -> Graph:
     """Complete graph on k >= 1 vertices."""
     _check_order("clique", k, 1)
+    _check_size(k, k * (k - 1))
     return Graph(k, tuple(tuple(u for u in range(k) if u != v) for v in range(k)))
 
 
@@ -319,7 +332,8 @@ def cartesian_product(g: Graph, h: Graph) -> tuple[Graph, ProductLabeling]:
     # a product of simple graphs is simple, so no edge needs validating;
     # (i, j)'s neighbours k*n + j with k < i (column j of rows k zipped),
     # then the row i*n + k, then those with k > i, are already ascending
-    n = h.vertex_count
+    m, n = g.vertex_count, h.vertex_count
+    _check_size(m * n, sum(map(len, g.adjacency)) * n + sum(map(len, h.adjacency)) * m)
     adjacency = []
     for i, left in enumerate(g.adjacency):
         split = bisect(left, i)
@@ -329,7 +343,7 @@ def cartesian_product(g: Graph, h: Graph) -> tuple[Graph, ProductLabeling]:
         above = zip(*columns[split:]) if split < len(left) else repeat(())
         right = [tuple([row + k for k in r]) for r in h.adjacency]
         adjacency += map(tuple.__add__, map(tuple.__add__, below, right), above)
-    return Graph(g.vertex_count * n, tuple(adjacency)), ProductLabeling(g.vertex_count, n)
+    return Graph(m * n, tuple(adjacency)), ProductLabeling(m, n)
 
 
 def _data_lines(lines: list[str], start: int) -> Iterator[tuple[int, str]]:

@@ -58,17 +58,15 @@ ORBIT_MIN_GROUP = 8
 # and 3.2 s with all; K7xP4 (|A| = 10080) 9.7 s with 2048, 6.4 s with all.
 ORBIT_MAX_GROUP = 2048
 # Peak bytes per subset state in brush_number_dp, traced at 16 vertices
-# where nothing is pruned (10.8 on the edgeless graph and K16): the int8
-# tables f and h (2) span every subset, the rest is the reached
+# where nothing is pruned (10.8 on the edgeless graph and K16): the
+# one-byte tables f and h (2) span every subset, the rest is the reached
 # layers and one chunk of DP_CHUNK_ROWS sets (1024 to 4096 time alike,
 # 512 is about 10% slower; 2048 peaks at 17.4 and 512 at 8.9).  That
 # share shrinks as n grows (7.3 at 20, 7.1 at 22).
 DP_BYTES_PER_STATE = 11
 DP_CHUNK_ROWS = 1024
 
-_INF = 1 << 28
-# np.iinfo(np.int16).max // 2, so that two table entries add up in int16
-_UNREACHED = 16383
+_UNREACHED = 255  # np.iinfo(np.uint8).max: an order on 31 vertices costs at most 240
 
 
 class SolveResult(Record):
@@ -113,7 +111,7 @@ def _walk_back(f: np.ndarray, s: int, masks: list[int], degs: list[int]) -> list
     return seq
 
 
-def _dp_layers(f: np.ndarray, h: np.ndarray, masks: list[int], degs: list[int], cap: int, unreached: int):
+def _dp_layers(f: np.ndarray, h: np.ndarray, masks: list[int], degs: list[int], cap: int):
     """Fill f and h from their empty-set entries one layer at a time and
     yield the kept sets of 0, 1, ..., ceil(n/2) vertices, each layer
     ascending and with its entries filled; S | u is kept when f + LB <=
@@ -144,10 +142,10 @@ def _dp_layers(f: np.ndarray, h: np.ndarray, masks: list[int], degs: list[int], 
             # flat indices: a 2-d boolean index gathers about 5x slower
             keep = ((bound <= cap) & (flip > s)).ravel().nonzero()[0]
             child = flip.take(keep)
-            new = f.take(child) == unreached
+            new = f.take(child) == _UNREACHED
             fresh.append(child[new])
             h[fresh[-1]] = child_h.take(keep[new])
-            np.minimum.at(f, child, cost.take(keep).astype(f.dtype, copy=False))  # int16 into int8: 20x slower
+            np.minimum.at(f, child, cost.take(keep).astype(f.dtype, copy=False))  # int16 into uint8: 20x slower
         # the reached sets, ascending; np.unique is 40x slower at 2M
         layer = np.concatenate(fresh)
         layer.sort()
@@ -188,9 +186,11 @@ def brush_number_dp(
     that of the full table.  states is still the table size 2^|V|.
 
     Memory grows as 2^|V|, about DP_BYTES_PER_STATE bytes per subset, of
-    which f and h take one each (f widens to int16 only when cap >= 127,
-    as 127 marks unreached).  Any order's steps on S sum to at least
-    cut(S), so f(S) >= cut(S): a split with an unreached complement exceeds cap.
+    which f and h take one each.  No order costs over floor(n^2/4), below
+    the unreached 255: take the vertices P whose step is positive; edges
+    among them cancel, so the steps sum to at most the edges leaving P,
+    at most |P|(n - |P|).  Any order's steps on S sum to at least cut(S),
+    so f(S) >= cut(S): a split with an unreached complement exceeds cap.
     Instances above max_vertices, 31 vertices or memory_limit_mb are refused.
     """
     n = g.vertex_count
@@ -206,21 +206,19 @@ def brush_number_dp(
     start = time.perf_counter()
     masks, degs = _adjacency_masks(g)
     size = 1 << n
-    half = n // 2
     cap = _greedy_order(g)[1]
     oddmask = sum(1 << v for v in range(n) if degs[v] % 2)
-    # f(S) <= cap < unreached, |h(S)| <= n^2/8 < 128 and 2*|N(v) & S| < 2^8
+    # f(S) <= cap <= n^2/4 < 255, |h(S)| <= n^2/8 < 128 and 2*|N(v) & S| < 2^8
     # fit the tables and uint8 counts; h(S) is written once S is reached
-    unreached, ftype = (127, np.int8) if cap < 127 else (_UNREACHED, np.int16)
-    f = np.full(size, unreached, dtype=ftype)
+    f = np.full(size, _UNREACHED, dtype=np.uint8)
     h = np.empty(size, dtype=np.int8)
     f[0], h[0] = 0, oddmask.bit_count() // 2
-    for k, layer in enumerate(_dp_layers(f, h, masks, degs, cap, unreached)):
-        if k == half:
+    for k, layer in enumerate(_dp_layers(f, h, masks, degs, cap)):
+        if k == n // 2:
             halves = layer
 
     # reached halves only; cut(S) = odd-degree vertices outside S minus 2h(S),
-    # summed in int16: 2h(S) leaves int8 from 23 vertices, f(S) + an unreached 127 at once
+    # summed in int16: 2h(S) leaves int8 from 23 vertices, f(S) + an unreached 255 at once
     cut = np.bitwise_count(~halves & oddmask) - 2 * h.take(halves).astype(np.int16)
     total = f.take(halves).astype(np.int16) + f.take((size - 1) ^ halves) - cut
     pick = int(np.argmin(total))
@@ -427,7 +425,7 @@ def brute_force_permutations(g: Graph, *, max_vertices: int = 9) -> SolveResult:
     start = time.perf_counter()
     masks, degs = _adjacency_masks(g)
     full = (1 << n) - 1
-    best_cost = _INF
+    best_cost = n * n // 4 + 1  # above every order's cost, as brush_number_dp shows
     best_seq: tuple[int, ...] = ()
     path: list[int] = []
     states = 0

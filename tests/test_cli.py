@@ -472,6 +472,16 @@ def test_config_writes_consistent_files(tmp_path, capsys):
     assert w0.total == 14 and len(seq) == g.vertex_count == 20
 
 
+def test_config_refuses_a_closed_form_that_does_not_clean(tmp_path, capsys, monkeypatch):
+    # a torus layout one brush short at the corner: printed, exit 5, nothing written
+    full = cons.torus_config
+    monkeypatch.setattr(cons, "torus_config", lambda m, n: BrushConfig((3,) + full(m, n).counts[1:]))
+    code, out, _ = run(capsys, "config", "torus", "4", "5", "--out-prefix", str(tmp_path / "t45"))
+    assert code == 5
+    assert (kv(out)["total"], kv(out)["verified"]) == ("13", "false")
+    assert "wrote=" not in out and list(tmp_path.iterdir()) == []
+
+
 # --------------------------------------------------------------- verify
 
 def test_verify_canonical_torus(tmp_path, capsys):

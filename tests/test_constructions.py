@@ -150,6 +150,8 @@ def test_km_pn_even_column_sums():
 def test_km_pn_parity_split():
     with pytest.raises(InvalidParameterError):
         km_pn_config(3, 2)
+    with pytest.raises(InvalidParameterError):
+        km_pn_config_odd(4, 3)
     assert km_pn_config_odd(3, 2).total == 5
     assert km_pn_config(4, 3).total == 12
 

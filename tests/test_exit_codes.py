@@ -1,7 +1,10 @@
 """The exit-code contract: each error class carries the exit code that
 the README's table gives it, and main returns it."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -120,3 +123,65 @@ def test_header_limit_admits_its_own_count():
     assert parse_sequence(f"s {MAX_HEADER_VERTICES}\n").order == ()
     with pytest.raises(TooLargeError):
         parse_sequence(f"s {MAX_HEADER_VERTICES + 1}\n")
+
+
+# Graphs sized on the command line are refused before they are built, and
+# a reduction's input of the wrong length before its graph is.  Each case
+# runs in a child under a 1 GiB address-space limit, so that a build
+# which outgrows it ends there ("error: out of memory" or a kill), not
+# on the machine's memory.
+LIMITED = """import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+sys.path.insert(0, {src!r})
+from graphclean.cli import main
+sys.exit(main({argv!r}))
+"""
+CAP, ARCS = MAX_HEADER_VERTICES, 4 * MAX_HEADER_VERTICES
+K100000 = f"{100000 * 99999} arcs exceed the limit of {ARCS}"
+# K1000 x P1000: 1000 * 999 arcs in each clique copy and 2 * 999 in each path copy
+K1000_P1000 = f"{1000 * 999 * 1000 + 1000 * 2 * 999} arcs exceed the limit of {ARCS}"
+SHORT = {"c": "b 4\n", "s": "s 4\n0 1 2 3\n"}
+REDUCE = ["--config", "c", "--sequence", "s"]
+
+
+@pytest.mark.parametrize(
+    "files, argv, code, err",
+    [
+        ({}, ["gen", "clique", "100000"], 3, K100000),
+        ({}, ["gen", "path", "10000000"], 3, f"10000000 vertices exceed the limit of {CAP}"),
+        ({}, ["config", "km-pn", "1000", "1000"], 3, K1000_P1000),
+        ({}, ["report", "km-pn", "--instances", "1000x1000"], 3, K1000_P1000),
+        ({}, ["report", "box", "--factor", "K100000"], 3, K100000),
+        (
+            {"a": f"p {CAP}\n", "b": f"p {CAP}\n"},
+            ["gen", "product", "a", "b"],
+            3,
+            f"{CAP * CAP} vertices exceed the limit of {CAP}",
+        ),
+        (SHORT, ["reduce", "clique-layer", "300", "300", *REDUCE], 2, "config covers 4 vertices, graph has 90000"),
+        (SHORT, ["reduce", "torus-rows", "1000", "1000", *REDUCE], 2, "config covers 4 vertices, graph has 1000000"),
+        (
+            {**SHORT, "c": "b 90000\n"},
+            ["reduce", "clique-layer", "300", "300", *REDUCE],
+            2,
+            "sequence must visit each of the 90000 vertices exactly once",
+        ),
+    ],
+    ids=[
+        "clique", "path", "config-km-pn", "report-km-pn", "box-factor", "product",
+        "reduce-config", "reduce-torus", "reduce-sequence",
+    ],
+)
+def test_argv_sizes_are_checked_before_building(files, argv, code, err, tmp_path):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    child = LIMITED.format(src=src, argv=[str(tmp_path / a) if a in files else a for a in argv])
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", child],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},  # numpy reserves address space per thread
+    )
+    assert (done.returncode, done.stderr) == (code, f"error: {err}\n")

@@ -12,6 +12,7 @@ from graphclean import (
     InvalidParameterError,
     ParseError,
     ProductLabeling,
+    TooLargeError,
     automorphisms,
     cartesian_product,
     graph_from_edges,
@@ -64,7 +65,27 @@ def test_builder_rejects_degenerate_sizes():
         make_clique(0)
 
 
+def test_builders_refuse_past_the_size_limit(monkeypatch):
+    # at a limit of 100 vertices and 400 arcs, C10 x C10 is the largest torus
+    monkeypatch.setattr("graphclean.graphs.MAX_HEADER_VERTICES", 100)
+    assert cartesian_product(make_cycle(10), make_cycle(10))[0].edge_count == 200
+    assert make_path(100).vertex_count == make_cycle(100).vertex_count == 100
+    assert make_clique(20).edge_count == 190
+    # 101 vertices twice, 420 arcs, 110 vertices, and 590 arcs on 100 vertices
+    for build in (
+        lambda: make_path(101),
+        lambda: make_cycle(101),
+        lambda: make_clique(21),
+        lambda: cartesian_product(make_cycle(10), make_path(11)),
+        lambda: cartesian_product(make_clique(5), make_path(20)),
+    ):
+        with pytest.raises(TooLargeError):
+            build()
+
+
 def test_graph_from_edges_validation():
+    with pytest.raises(InvalidParameterError):
+        graph_from_edges(-1, [])
     with pytest.raises(InvalidParameterError):
         graph_from_edges(3, [(0, 3)])
     with pytest.raises(InvalidParameterError):
@@ -77,6 +98,9 @@ def test_product_clique_path():
     g, lab = cartesian_product(make_clique(4), make_path(2))
     assert g.vertex_count == 8 and g.edge_count == 16
     assert lab.id(2, 1) == 5 and lab.pair(5) == (2, 1)
+    for outside in (lambda: lab.id(4, 0), lambda: lab.id(0, 2), lambda: lab.pair(8), lambda: lab.pair(-1)):
+        with pytest.raises(InvalidParameterError):
+            outside()
 
 
 def test_product_torus_regular():
@@ -333,6 +357,7 @@ def test_serialize_sorted_canonical():
 def test_is_connected():
     assert is_connected(make_cycle(5))
     assert is_connected(make_path(1))
+    assert is_connected(graph_from_edges(0, []))
     assert not is_connected(graph_from_edges(3, []))
     assert not is_connected(graph_from_edges(4, [(0, 1), (2, 3)]))
 

@@ -295,10 +295,11 @@ def test_pruned_dp_matches_unpruned(g):
     assert (result.value, result.witness.order) == unpruned_half_dp(g)
 
 
-# f is int8 below a greedy cap of 127 and int16 from it; a looser cap
-# only prunes less, so the value and witness stay those of the full table
+# f is uint8 with 255 as unreached, and no order on the DP's 31 vertices
+# costs over 240; a looser cap only prunes less, so the value and
+# witness stay those of the full table
 
-@pytest.mark.parametrize("cap", [126, 127, 200])
+@pytest.mark.parametrize("cap", [126, 127, 200, 240])
 def test_loose_caps_match_unpruned_seeded(monkeypatch, cap):
     greedy = solver._greedy_order
     monkeypatch.setattr(solver, "_greedy_order", lambda g: (greedy(g)[0], cap))
@@ -309,8 +310,8 @@ def test_loose_caps_match_unpruned_seeded(monkeypatch, cap):
 
 @pytest.mark.parametrize("n", [22, 23])
 def test_clique_join_sums_past_int8(n):
-    # K22: f(S) + f(V - S) = 121 + 121 on an int8 table; K23: cap 132
-    # takes the int16 table, and 2h(S) = -132 on the half layer
+    # K22: f(S) + f(V - S) = 121 + 121 on a uint8 table; K23: cap 132,
+    # and 2h(S) = -132 on the half layer leaves int8
     g = make_clique(n)
     result = brush_number_dp(g, max_vertices=23)
     assert result.value == n * n // 4
@@ -380,8 +381,20 @@ def test_dp_matches_golden(key):
 
 # ------------------------------------------------------------ size guards
 
-def test_unreached_is_half_the_int16_max():
-    assert solver._UNREACHED == np.iinfo(np.int16).max // 2
+def test_unreached_is_the_uint8_max_above_every_cost():
+    # the DP's 31 vertices: no order costs over floor(31^2/4) = 240
+    assert solver._UNREACHED == np.iinfo(np.uint8).max > 31 * 31 // 4
+
+
+@given(graphs(max_vertices=12), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_every_order_costs_at_most_a_quarter_square(g, rng):
+    n = g.vertex_count
+    order = list(range(n))
+    rng.shuffle(order)
+    total = minimal_config_for_sequence(g, CleaningSequence(tuple(order))).total
+    assert total <= n * n // 4
+    assert minimal_config_for_sequence(make_clique(n), CleaningSequence(tuple(order))).total == n * n // 4
 
 
 def test_dp_cap():
