@@ -6,9 +6,9 @@ The package is organized around four layers:
   automorphisms and the edge-list file format,
 * :mod:`graphclean.cleaning` -- brush configurations, cleaning sequences,
   simulation and the greedy cleanability test,
-* :mod:`graphclean.solver` -- exact minimization (subset DP, branch and
-  bound, permutation brute force) plus the sandwich check for small
-  product instances,
+* :mod:`graphclean.solver` -- exact minimization (``solve`` over the
+  subset DP, branch and bound and permutation brute force) plus the
+  sandwich check for small product instances,
 * :mod:`graphclean.constructions` -- closed-form optimal configurations
   for structured families and the two reductions between them.
 """
@@ -81,6 +81,7 @@ from .solver import (
     brute_force_permutations,
     check_box_conjecture,
     parity_lower_bound,
+    solve,
 )
 
 __version__ = "0.1.0"

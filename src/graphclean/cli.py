@@ -39,14 +39,7 @@ from .errors import (
     TooLargeError,
 )
 from .graphs import Graph, ProductLabeling, cartesian_product, parse_edge_list, serialize_edge_list
-from .solver import (
-    DEFAULT_BNB_TIMEOUT,
-    DEFAULT_DP_CAP,
-    brush_number_bnb,
-    brush_number_dp,
-    brute_force_permutations,
-    check_box_conjecture,
-)
+from .solver import DEFAULT_BNB_TIMEOUT, DEFAULT_DP_CAP, check_box_conjecture, solve
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -216,14 +209,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     _check_timeout(args.timeout)
     _check_minimum("--max-dp-vertices", args.max_dp_vertices, 0)
     g = _load(parse_edge_list, args.graph)
-    if args.method == "dp":
-        cap = DEFAULT_DP_CAP if args.max_dp_vertices is None else args.max_dp_vertices
-        result = brush_number_dp(g, max_vertices=cap)
-    elif args.method == "bnb":
-        timeout = DEFAULT_BNB_TIMEOUT if args.timeout is None else args.timeout
-        result = brush_number_bnb(g, args.upper_hint, timeout=timeout)
-    else:
-        result = brute_force_permutations(g)
+    cap = DEFAULT_DP_CAP if args.max_dp_vertices is None else args.max_dp_vertices
+    timeout = DEFAULT_BNB_TIMEOUT if args.timeout is None else args.timeout
+    result = solve(g, args.method, max_vertices=cap, timeout=timeout, upper_hint=args.upper_hint)
     w0 = minimal_config_for_sequence(g, result.witness)
     print(f"method={result.method}")
     print(f"value={result.value}")
@@ -364,11 +352,8 @@ def _reduce_clique_layer(
 def _family_row(kind: str, m: int, n: int, cap: int, timeout: float) -> dict[str, str]:
     """A torus or km-pn row: the closed form against the DP, or BnB over the cap."""
     entry = cons.FAMILIES[kind]
-    g, formula = entry.build(m, n), entry.formula(m, n)
-    if g.vertex_count <= cap:
-        res = brush_number_dp(g, max_vertices=cap)
-    else:
-        res = brush_number_bnb(g, timeout=timeout)
+    res = solve(entry.build(m, n), max_vertices=cap, timeout=timeout)
+    formula = entry.formula(m, n)
     if not res.complete:
         match = "incomplete"
     else:
@@ -399,7 +384,7 @@ def _km_cn_row(m: int, n: int, cap: int) -> dict[str, str]:
         "seconds": "-",
     }
     if g.vertex_count <= cap:
-        res = brush_number_dp(g, max_vertices=cap)
+        res = solve(g, "dp", max_vertices=cap)
         # fixed < scaled for every m >= 2 and n >= 3, so at most one matches
         verdict = {fixed: "fixed", scaled: "scaled"}.get(res.value, "neither")
         row.update(solver=str(res.value), verdict=verdict, seconds=f"{res.seconds:.3f}")
@@ -454,7 +439,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         _refuse_unread("applies only to the box suite", ("--order", args.order), ("--factor", args.factor))
         if args.instances is not None:
             _refuse_unread("cannot be combined with --instances", *ranges)
-        if args.instances:
+        if args.instances is not None:
             instances = _parse_instances(args.instances)
         elif suite == "km-cn" and not (args.m_range or args.n_range):
             instances = [(3, 3), (3, 4), (4, 3)]

@@ -14,7 +14,7 @@ takes the minimum of that sum over the sets of floor(n/2) vertices.
 It skips every set whose f plus the parity bound on the rest (Messinger,
 Nowakowski and Pralat, TCS 2008) exceeds the greedy order's cost: such
 a set cannot tie an optimum.  The branch-and-bound explores prefixes
-directly and is useful past the DP's memory reach.
+directly and is useful past the DP's memory reach; solve runs either.
 """
 
 from __future__ import annotations
@@ -26,12 +26,7 @@ from itertools import combinations, permutations
 from typing import TYPE_CHECKING
 
 from .cleaning import CleaningSequence
-from .errors import (
-    InternalInconsistencyError,
-    InvalidParameterError,
-    ResourceLimitError,
-    TooLargeError,
-)
+from .errors import InternalInconsistencyError, InvalidParameterError, TooLargeError
 from .graphs import (
     Graph,
     Record,
@@ -65,8 +60,12 @@ ORBIT_MAX_GROUP = 2048
 # share shrinks as n grows (7.3 at 20, 7.1 at 22).
 DP_BYTES_PER_STATE = 11
 DP_CHUNK_ROWS = 1024
+# The DP's one size gate: 2^26 * DP_BYTES_PER_STATE is 704 MB, which fits
+# in 1 GB, and 27 vertices would need 1408 MB, so the int32 set masks'
+# limit of 31 vertices never binds.
+DP_MAX_VERTICES = 26
 
-_UNREACHED = 255  # np.iinfo(np.uint8).max: an order on 31 vertices costs at most 240
+_UNREACHED = 255  # np.iinfo(np.uint8).max: an order on 26 vertices costs at most 169
 
 
 class SolveResult(Record):
@@ -156,12 +155,7 @@ def _dp_layers(f: np.ndarray, h: np.ndarray, masks: list[int], degs: list[int], 
         yield layer
 
 
-def brush_number_dp(
-    g: Graph,
-    *,
-    max_vertices: int = DEFAULT_DP_CAP,
-    memory_limit_mb: int = 1024,
-) -> SolveResult:
+def brush_number_dp(g: Graph, *, max_vertices: int = DEFAULT_DP_CAP) -> SolveResult:
     """Exact brush number by half-depth subset DP with a reconstructed witness.
 
     f is filled only on sets of at most ceil(n/2) vertices, and the
@@ -191,17 +185,12 @@ def brush_number_dp(
     among them cancel, so the steps sum to at most the edges leaving P,
     at most |P|(n - |P|).  Any order's steps on S sum to at least cut(S),
     so f(S) >= cut(S): a split with an unreached complement exceeds cap.
-    Instances above max_vertices, 31 vertices or memory_limit_mb are refused.
+    Instances above max_vertices or DP_MAX_VERTICES are refused.
     """
     n = g.vertex_count
-    limit = min(max_vertices, 31)  # the int32 set masks hold at most 31 vertices
+    limit = min(max_vertices, DP_MAX_VERTICES)
     if n > limit:
         raise TooLargeError(f"{n} vertices exceed the DP cap of {limit}")
-    est_mb = ((1 << n) * DP_BYTES_PER_STATE) // (1024 * 1024)
-    if est_mb > memory_limit_mb:
-        raise ResourceLimitError(
-            f"DP on {n} vertices needs about {est_mb} MB, limit is {memory_limit_mb} MB"
-        )
     import numpy as np
     start = time.perf_counter()
     masks, degs = _adjacency_masks(g)
@@ -293,6 +282,8 @@ def brush_number_bnb(
     plus parity bound over the unexplored prefixes on its stack, at most
     the incumbent.
     """
+    if timeout is not None and not timeout >= 0:  # NaN too: no deadline check would pass it
+        raise InvalidParameterError(f"timeout must be a non-negative number of seconds, got {timeout}")
     import numpy as np
     n = g.vertex_count
     start = time.perf_counter()
@@ -454,6 +445,24 @@ def brute_force_permutations(g: Graph, *, max_vertices: int = 9) -> SolveResult:
     )
 
 
+def solve(
+    g: Graph, method: str | None = None, *, max_vertices: int = DEFAULT_DP_CAP,
+    timeout: float | None = DEFAULT_BNB_TIMEOUT, upper_hint: int | None = None,
+) -> SolveResult:
+    """b(G) by method "dp" (up to max_vertices), "bnb" (with timeout and
+    upper_hint) or "brute"; with no method, the DP on graphs of at most
+    max_vertices vertices and the branch-and-bound on larger ones."""
+    if method is None:
+        method = "dp" if g.vertex_count <= max_vertices else "bnb"
+    if method == "dp":
+        return brush_number_dp(g, max_vertices=max_vertices)
+    if method == "bnb":
+        return brush_number_bnb(g, upper_hint, timeout=timeout)
+    if method == "brute":
+        return brute_force_permutations(g)
+    raise InvalidParameterError(f"unknown method {method!r}, expected dp, bnb or brute")
+
+
 class BoxConjectureReport(Record):
     """Outcome of sweeping every labeled graph on m vertices against one
     fixed right factor: products of paths should sit at the bottom and
@@ -517,7 +526,7 @@ def check_box_conjecture(
         value = None
         if is_connected(left):
             product, _ = cartesian_product(left, h)
-            value = brush_number_dp(product, max_vertices=max_vertices).value
+            value = solve(product, "dp", max_vertices=max_vertices).value
         present = [i for i in range(len(pairs)) if bits >> i & 1]
         for move in moves:
             values[sum(move[i] for i in present)] = value

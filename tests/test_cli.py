@@ -363,9 +363,10 @@ def test_unread_option_is_refused(tmp_path, capsys, argv, message):
         (["gen", "torus", "3", "x"], "torus parameters must be integers: ['3', 'x']"),
         (["report", "torus", "--instances", "3x3,4"], "bad instance '4', expected MxN"),
         (["report", "torus", "--instances", "3xq"], "bad instance '3xq', expected MxN"),
+        (["report", "torus", "--instances", ""], "bad instance '', expected MxN"),
         (["gen", "product", "a.graph"], "product takes two edge-list files"),
     ],
-    ids=["arity", "integers", "instance-fields", "instance-integers", "product-files"],
+    ids=["arity", "integers", "instance-fields", "instance-integers", "instances-empty", "product-files"],
 )
 def test_bad_parameters_are_refused(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
@@ -689,24 +690,30 @@ def test_reduce_torus_rows_prints_the_merge(tmp_path, capsys, extra, expected):
 
 
 @pytest.mark.parametrize(
-    "size, argv",
+    "size, argv, sequence, message",
     [
-        ("3", ("3", "3")),  # no axis of length 4 or more
-        ("4", ("4", "4", "--row", "9")),  # row out of range
-        ("3", ("4", "4")),  # a 9-vertex config for a 16-vertex torus
+        ("3", ("3", "3"), None, "no axis of 3 x 3 can be shortened"),
+        ("4", ("4", "4", "--row", "9"), None, "row must be in 0..2, got 9"),
+        # a 9-vertex config for a 16-vertex torus
+        ("3", ("4", "4"), None, "config covers 9 vertices, graph has 16"),
+        # a 15-vertex sequence for it, refused before any graph is built
+        (
+            "4", ("4", "4"), "s 15\n" + " ".join(map(str, range(15))) + "\n",
+            "sequence must visit each of the 16 vertices exactly once",
+        ),
     ],
-    ids=["3x3", "row-9", "short-config"],
+    ids=["3x3", "row-9", "short-config", "short-sequence"],
 )
-def test_reduce_rejects_short_axes(tmp_path, capsys, size, argv):
+def test_reduce_rejects_short_axes(tmp_path, capsys, size, argv, sequence, message):
     # an error prints nothing on stdout, as every other command does
     prefix = str(tmp_path / "t")
     run(capsys, "config", "torus", size, size, "--out-prefix", prefix)
-    code, out, err = run(
+    if sequence is not None:
+        Path(prefix + ".sequence").write_text(sequence)
+    assert run(
         capsys, "reduce", "torus-rows", *argv,
         "--config", prefix + ".config", "--sequence", prefix + ".sequence",
-    )
-    assert code == 2 and err.startswith("error:")
-    assert out == ""
+    ) == (2, "", f"error: {message}\n")
 
 
 def test_reduce_clique_layer(tmp_path, capsys):

@@ -19,7 +19,6 @@ from graphclean import (
     BoxConjectureReport,
     CleaningSequence,
     InvalidParameterError,
-    ResourceLimitError,
     TooLargeError,
     automorphisms,
     brush_number_bnb,
@@ -35,6 +34,7 @@ from graphclean import (
     minimal_config_for_sequence,
     parity_lower_bound,
     simulate,
+    solve,
 )
 from graphclean import solver
 from graphclean.constructions import FAMILIES
@@ -406,14 +406,16 @@ def test_dp_cap():
 
 
 def test_dp_refuses_more_vertices_than_its_set_masks_hold():
-    # refused before the memory estimate, which a huge limit would pass
     with pytest.raises(TooLargeError):
-        brush_number_dp(make_cycle(32), max_vertices=32, memory_limit_mb=10**9)
+        brush_number_dp(make_cycle(32), max_vertices=32)
 
 
 def test_dp_memory_guard():
-    with pytest.raises(ResourceLimitError):
-        brush_number_dp(make_clique(22), memory_limit_mb=1)
+    # the vertex cap is the largest whose tables fit in 1 GB
+    cap = solver.DP_MAX_VERTICES
+    assert solver.DP_BYTES_PER_STATE << cap <= 2**30 < solver.DP_BYTES_PER_STATE << (cap + 1)
+    with pytest.raises(TooLargeError, match=f"^{cap + 1} vertices exceed the DP cap of {cap}$"):
+        brush_number_dp(graph_from_edges(cap + 1, []), max_vertices=31)
 
 
 def test_dp_memory_estimate_bounds_traced_peak():
@@ -435,6 +437,31 @@ def test_dp_memory_estimate_bounds_traced_peak():
 def test_brute_cap():
     with pytest.raises(TooLargeError):
         brute_force_permutations(make_clique(10))
+
+
+@pytest.mark.parametrize("timeout", [float("nan"), -1.0])
+def test_bnb_refuses_a_timeout_it_cannot_keep(timeout):
+    # no deadline check passes a NaN deadline, so the search would never stop
+    with pytest.raises(InvalidParameterError):
+        brush_number_bnb(make_cycle(8), timeout=timeout)
+    with pytest.raises(InvalidParameterError):
+        solve(make_cycle(8), "bnb", timeout=timeout)
+
+
+@pytest.mark.parametrize("method", sorted(SOLVERS))
+def test_solve_runs_the_named_method(method):
+    for g in (make_cycle(7), make_clique(5), cartesian_product(make_path(2), make_cycle(4))[0]):
+        direct, via = SOLVERS[method](g), solve(g, method)
+        assert (via.method, via.value, via.witness, via.states) == (
+            method, direct.value, direct.witness, direct.states,
+        )
+
+
+def test_solve_without_a_method_picks_by_vertex_count():
+    assert solve(make_cycle(8), max_vertices=8).method == "dp"
+    assert solve(make_cycle(9), max_vertices=8).method == "bnb"
+    with pytest.raises(InvalidParameterError, match="unknown method 'greedy'"):
+        solve(make_cycle(8), "greedy")
 
 
 def test_bnb_timeout_flags_incomplete():
