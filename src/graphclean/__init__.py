@@ -57,7 +57,6 @@ from .errors import (
     InvalidSequenceError,
     ParseError,
     PreconditionViolationError,
-    ResourceLimitError,
     TooLargeError,
 )
 from .graphs import (

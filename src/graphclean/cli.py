@@ -35,11 +35,10 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
     ParseError,
-    ResourceLimitError,
     TooLargeError,
 )
 from .graphs import Graph, ProductLabeling, cartesian_product, parse_edge_list, serialize_edge_list
-from .solver import DEFAULT_BNB_TIMEOUT, DEFAULT_DP_CAP, check_box_conjecture, solve
+from .solver import DEFAULT_BNB_TIMEOUT, DEFAULT_DP_CAP, check_box_conjecture, dp_reach, solve
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -135,16 +134,18 @@ def _parse_factor(spec: str) -> tuple[str, Graph]:
     return label.format(k), entry.build(k)
 
 
-def _check_timeout(seconds: float | None) -> None:
-    if seconds is not None and not seconds >= 0:  # NaN too: no deadline check would pass it
-        raise InvalidParameterError(
-            f"--timeout must be a non-negative number of seconds, got {seconds}"
-        )
-
-
 def _check_minimum(option: str, value: int | None, low: int) -> None:
     if value is not None and value < low:
         raise InvalidParameterError(f"{option} must be at least {low}, got {value}")
+
+
+def _limits(args: argparse.Namespace) -> tuple[int, float]:
+    """Check --timeout and --max-dp-vertices; return them, defaults filled in."""
+    if args.timeout is not None and not args.timeout >= 0:  # NaN too: no deadline check would pass it
+        raise InvalidParameterError(f"--timeout must be a non-negative number of seconds, got {args.timeout}")
+    _check_minimum("--max-dp-vertices", args.max_dp_vertices, 0)
+    cap = DEFAULT_DP_CAP if args.max_dp_vertices is None else args.max_dp_vertices
+    return cap, DEFAULT_BNB_TIMEOUT if args.timeout is None else args.timeout
 
 
 def _refuse_unread(reason: str, *options: tuple[str, object]) -> None:
@@ -206,11 +207,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         )
     if args.method != "dp":
         _refuse_unread("applies only to --method dp", ("--max-dp-vertices", args.max_dp_vertices))
-    _check_timeout(args.timeout)
-    _check_minimum("--max-dp-vertices", args.max_dp_vertices, 0)
+    cap, timeout = _limits(args)
     g = _load(parse_edge_list, args.graph)
-    cap = DEFAULT_DP_CAP if args.max_dp_vertices is None else args.max_dp_vertices
-    timeout = DEFAULT_BNB_TIMEOUT if args.timeout is None else args.timeout
     result = solve(g, args.method, max_vertices=cap, timeout=timeout, upper_hint=args.upper_hint)
     w0 = minimal_config_for_sequence(g, result.witness)
     print(f"method={result.method}")
@@ -370,9 +368,9 @@ def _family_row(kind: str, m: int, n: int, cap: int, timeout: float) -> dict[str
 
 
 def _km_cn_row(m: int, n: int, cap: int) -> dict[str, str]:
-    """A km-cn row: the DP value against two candidate formulas; skipped over the cap."""
+    """A km-cn row: the DP value against two candidate formulas; skipped, unbuilt, past the DP's reach."""
+    cons._check_km_cn_dims(m, n)
     entry = cons.FAMILIES["km-cn"]
-    g = entry.build(m, n)
     fixed = m * m // 4 + 2
     scaled = n * (m * m // 4) + 2
     row = {
@@ -383,8 +381,8 @@ def _km_cn_row(m: int, n: int, cap: int) -> dict[str, str]:
         "verdict": "skipped",
         "seconds": "-",
     }
-    if g.vertex_count <= cap:
-        res = solve(g, "dp", max_vertices=cap)
+    if m * n <= dp_reach(cap):
+        res = solve(entry.build(m, n), "dp", max_vertices=cap)
         # fixed < scaled for every m >= 2 and n >= 3, so at most one matches
         verdict = {fixed: "fixed", scaled: "scaled"}.get(res.value, "neither")
         row.update(solver=str(res.value), verdict=verdict, seconds=f"{res.seconds:.3f}")
@@ -423,11 +421,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     if suite in ("km-cn", "box"):
         # only torus and km-pn rows fall back to branch-and-bound
         _refuse_unread("applies only to the torus and km-pn suites", ("--timeout", args.timeout))
-    _check_timeout(args.timeout)
-    _check_minimum("--max-dp-vertices", args.max_dp_vertices, 0)
+    cap, timeout = _limits(args)
     _check_minimum("--jobs", args.jobs, 1)
-    cap = DEFAULT_DP_CAP if args.max_dp_vertices is None else args.max_dp_vertices
-    timeout = DEFAULT_BNB_TIMEOUT if args.timeout is None else args.timeout
     ranges = ("--m-range", args.m_range), ("--n-range", args.n_range)
     if suite == "box":
         _refuse_unread("does not apply to the box suite", ("--instances", args.instances), *ranges)
@@ -439,7 +434,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         _refuse_unread("applies only to the box suite", ("--order", args.order), ("--factor", args.factor))
         if args.instances is not None:
             _refuse_unread("cannot be combined with --instances", *ranges)
-        if args.instances is not None:
             instances = _parse_instances(args.instances)
         elif suite == "km-cn" and not (args.m_range or args.n_range):
             instances = [(3, 3), (3, 4), (4, 3)]
@@ -560,7 +554,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.exit_code
     except MemoryError:  # an instance too large for this machine, not a crash
         print("error: out of memory", file=sys.stderr)
-        return ResourceLimitError.exit_code
+        return TooLargeError.exit_code
     except Exception as exc:  # a crash is not "infeasible" (Python's default exit 1)
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED

@@ -63,12 +63,6 @@ class TooLargeError(GraphCleanError):
     exit_code = 3
 
 
-class ResourceLimitError(GraphCleanError):
-    """The run would exceed its memory budget."""
-
-    exit_code = 3
-
-
 class PreconditionViolationError(GraphCleanError, ValueError):
     """A structural precondition on the input cleaning does not hold."""
 

@@ -68,6 +68,17 @@ DP_MAX_VERTICES = 26
 _UNREACHED = 255  # np.iinfo(np.uint8).max: an order on 26 vertices costs at most 169
 
 
+def dp_reach(max_vertices: int = DEFAULT_DP_CAP) -> int:
+    """The most vertices the DP solves under a cap of max_vertices."""
+    return min(max_vertices, DP_MAX_VERTICES)
+
+
+def _refuse_past_reach(n: int, max_vertices: int) -> None:
+    limit = dp_reach(max_vertices)
+    if n > limit:
+        raise TooLargeError(f"{n} vertices exceed the DP cap of {limit}")
+
+
 class SolveResult(Record):
     value: int
     witness: CleaningSequence
@@ -185,12 +196,10 @@ def brush_number_dp(g: Graph, *, max_vertices: int = DEFAULT_DP_CAP) -> SolveRes
     among them cancel, so the steps sum to at most the edges leaving P,
     at most |P|(n - |P|).  Any order's steps on S sum to at least cut(S),
     so f(S) >= cut(S): a split with an unreached complement exceeds cap.
-    Instances above max_vertices or DP_MAX_VERTICES are refused.
+    Instances past dp_reach(max_vertices) are refused.
     """
     n = g.vertex_count
-    limit = min(max_vertices, DP_MAX_VERTICES)
-    if n > limit:
-        raise TooLargeError(f"{n} vertices exceed the DP cap of {limit}")
+    _refuse_past_reach(n, max_vertices)
     import numpy as np
     start = time.perf_counter()
     masks, degs = _adjacency_masks(g)
@@ -449,11 +458,11 @@ def solve(
     g: Graph, method: str | None = None, *, max_vertices: int = DEFAULT_DP_CAP,
     timeout: float | None = DEFAULT_BNB_TIMEOUT, upper_hint: int | None = None,
 ) -> SolveResult:
-    """b(G) by method "dp" (up to max_vertices), "bnb" (with timeout and
-    upper_hint) or "brute"; with no method, the DP on graphs of at most
-    max_vertices vertices and the branch-and-bound on larger ones."""
+    """b(G) by method "dp" (up to dp_reach(max_vertices) vertices), "bnb"
+    (with timeout and upper_hint) or "brute"; with no method, the DP on
+    graphs within that reach and the branch-and-bound on larger ones."""
     if method is None:
-        method = "dp" if g.vertex_count <= max_vertices else "bnb"
+        method = "dp" if g.vertex_count <= dp_reach(max_vertices) else "bnb"
     if method == "dp":
         return brush_number_dp(g, max_vertices=max_vertices)
     if method == "bnb":
@@ -498,10 +507,12 @@ def check_box_conjecture(
     [b(P_m x H), b(K_m x H)].  Relabelling G relabels G x H, so the DP
     runs once per isomorphism class: the first labeled graph met of a
     class is solved, and its value is stored under the edge bitmask of
-    each of its m! relabellings.
+    each of its m! relabellings.  Every product has m * |H| vertices, so
+    one past the DP's reach is refused before any is built.
     """
     if not 2 <= m <= 5:
         raise InvalidParameterError(f"left-factor order must be 2..5, got {m}")
+    _refuse_past_reach(m * h.vertex_count, max_vertices)
     pairs = list(combinations(range(m), 2))
     bit = {pair: 1 << i for i, pair in enumerate(pairs)}
     # per vertex permutation, the bit that each pair's bit moves to

@@ -25,7 +25,7 @@ from graphclean import (
     serialize_edge_list,
     serialize_sequence,
 )
-from graphclean import cli, constructions as cons
+from graphclean import cli, constructions as cons, solver
 from graphclean.cli import main
 from graphclean.graphs import MAX_HEADER_VERTICES
 
@@ -986,6 +986,35 @@ def test_report_torus_falls_back_to_bnb(capsys):
     assert code == 0
     assert "match=yes method=bnb" in out
     assert "skipped=0" in out
+
+
+def test_report_km_cn_skips_past_the_dp_reach(capsys):
+    # 27 vertices: under the cap of 30, past the DP's 26
+    code, out, _ = run(capsys, "report", "km-cn", "--instances", "3x9", "--max-dp-vertices", "30")
+    assert code == 0
+    assert "instance=K3xC9 solver=- fixed=4 scaled=20 verdict=skipped seconds=-" in out
+
+
+def test_report_torus_past_the_dp_reach_runs_bnb(capsys):
+    code, out, _ = run(
+        capsys, "report", "torus", "--instances", "3x9", "--max-dp-vertices", "30", "--timeout", "20"
+    )
+    assert code == 0
+    assert "match=yes method=bnb" in out
+
+
+def test_report_builds_no_product_past_the_dp_reach(monkeypatch, capsys):
+    def boom(*args):
+        raise AssertionError("a product was built")
+
+    monkeypatch.setattr(cons, "cartesian_product", boom)
+    monkeypatch.setattr(solver, "cartesian_product", boom)
+    code, out, _ = run(capsys, "report", "km-cn", "--instances", "3x300000")
+    assert code == 0
+    assert "instance=K3xC300000 solver=- fixed=4 scaled=600002 verdict=skipped seconds=-" in out
+    code, out, err = run(capsys, "report", "box", "--order", "5", "--factor", "P200000")
+    assert (code, out) == (3, "")
+    assert err == "error: 1000000 vertices exceed the DP cap of 22\n"
 
 
 def test_report_row_over_the_timeout_is_incomplete(capsys):

@@ -75,6 +75,10 @@ def test_km_cn_rejects_the_same_instances_in_gen_and_report(capsys):
     assert gen[0] == report[0] == 2
     assert "clique-cycle product needs m >= 2 and n >= 3, got 1 x 3" in report[2]
     assert report[1] == ""
+    # past the DP's reach too: the parameters are checked before the row is skipped
+    code, out, err = run(capsys, "report", "km-cn", "--instances", "1x30")
+    assert (code, out) == (2, "")
+    assert "clique-cycle product needs m >= 2 and n >= 3, got 1 x 30" in err
 
 
 def test_bad_box_factor_keeps_its_message(capsys):

@@ -460,6 +460,8 @@ def test_solve_runs_the_named_method(method):
 def test_solve_without_a_method_picks_by_vertex_count():
     assert solve(make_cycle(8), max_vertices=8).method == "dp"
     assert solve(make_cycle(9), max_vertices=8).method == "bnb"
+    # a cap past the DP's own limit of 26 vertices leaves the rest to the BnB
+    assert solve(make_cycle(27), max_vertices=30).method == "bnb"
     with pytest.raises(InvalidParameterError, match="unknown method 'greedy'"):
         solve(make_cycle(8), "greedy")
 
